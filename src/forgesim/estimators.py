@@ -13,7 +13,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import AlignmentError, DegenerateDataError, DomainError
 from .events import MembershipEventLog
@@ -72,7 +71,9 @@ def fit_exponential_growth(
         raise DomainError(f"nonpositive value at month {int(months[bad[0]])}")
     if months.size < 3:
         raise DegenerateDataError(f"need >= 3 unmasked points, got {months.size}")
-    res = sstats.linregress(months, np.log(values))
+    from scipy.stats import linregress  # deferred: scipy.stats is slow to import
+
+    res = linregress(months, np.log(values))
     return GrowthFit(
         omega=float(res.slope),
         r_squared=float(res.rvalue**2),
@@ -192,6 +193,8 @@ def size_dependent_growth(
     from the log's first month; the key is the window's start month. Windows
     containing masked months are skipped.
     """
+    from scipy.stats import linregress  # deferred: scipy.stats is slow to import
+
     mask = mask or frozenset()
     lo, hi = log.month_range
     if hi - lo < window_months:
@@ -224,7 +227,7 @@ def size_dependent_growth(
         if len(binned) >= 2:
             bx = np.log([b[0] for b in binned])
             by = np.log([b[1] for b in binned])
-            res = sstats.linregress(bx, by)
+            res = linregress(bx, by)
             fits[start] = GammaFit(
                 gamma=float(res.slope),
                 stderr=float(res.stderr),
@@ -348,8 +351,9 @@ def classify_collaborative(
         for m in change_months:
             if m > observation_end:
                 break
-            active = sum(1 for ev in events if ev.active_at(m))
-            if active >= 2:
+            # distinct developers: overlapping records of one pair count once
+            active = {ev.developer_id for ev in events if ev.active_at(m)}
+            if len(active) >= 2:
                 collaborative = True
                 break
         labels[project] = ProjectLabel(

@@ -5,11 +5,13 @@ The event file is delimiter-separated text, one membership event per row:
     developer_id,project_id,entry_month,exit_month
 
 exit_month may be empty (the link is still active at the end of the data).
-Months are either plain integer indices or calendar YYYY-MM tokens; calendar
-tokens are converted to integer offsets from a configurable epoch right here
-at the format boundary, and everything downstream works on integers. An
-optional header row is auto-detected. A gap-mask file lists one masked month
-index per line.
+Months are either plain integer indices or calendar YYYY-MM tokens with MM
+in 01-12; calendar tokens are converted to integer offsets from a
+configurable epoch right here at the format boundary, and everything
+downstream works on integers. Row 1 is skipped as a header only when its
+fields are the column names above (with or without exit_month); any other
+row 1 is parsed as data. A gap-mask file lists one masked month index per
+line.
 """
 
 from __future__ import annotations
@@ -36,7 +38,11 @@ __all__ = [
 
 DEFAULT_EPOCH = "1970-01"
 
-_CALENDAR_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_CALENDAR_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
+
+
+# The documented column names; row 1 is a header only when it carries them.
+_HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 
 
 def _epoch_months(epoch: str) -> int:
@@ -47,7 +53,11 @@ def _epoch_months(epoch: str) -> int:
 
 
 def month_index(token: str, epoch: str = DEFAULT_EPOCH) -> int:
-    """Parse an integer or YYYY-MM month token into a month index."""
+    """Parse an integer or YYYY-MM month token into a month index.
+
+    Raises ValueError for anything else, including a calendar month outside
+    01-12.
+    """
     token = token.strip()
     m = _CALENDAR_RE.match(token)
     if m:
@@ -149,16 +159,6 @@ class ParseResult:
         return not self.errors
 
 
-def _looks_like_header(fields: list[str], epoch: str) -> bool:
-    if len(fields) < 3:
-        return False
-    try:
-        month_index(fields[2], epoch)
-        return False
-    except ValueError:
-        return True
-
-
 def parse_events(
     source: str | Path | io.TextIOBase,
     delimiter: str = ",",
@@ -186,8 +186,10 @@ def parse_events(
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")  # byte-order mark some editors write
         fields = [f.strip() for f in line.split(delimiter)]
-        if line_no == 1 and _looks_like_header(fields, epoch):
+        if line_no == 1 and tuple(fields) in (_HEADER, _HEADER[:3]):
             continue
         if len(fields) not in (3, 4):
             errors.append(ParseIssue(line_no, f"expected 3 or 4 fields, got {len(fields)}", line))

@@ -27,6 +27,21 @@ __all__ = ["GofResult", "ks_statistic", "bootstrap_pvalue"]
 _MAX_FAILURE_FRACTION = 0.01
 
 
+def _ks_blocks(sizes, counts, lengths, rho, totals) -> np.ndarray:
+    """KS distance of each of several histograms laid end to end.
+
+    Block i is the next lengths[i] (size, count) pairs, ascending by size,
+    scored against cdf(., rho[i]) with ECDF denominator totals[i]. The ECDF
+    is one cumsum over all blocks minus each block's offset.
+    """
+    starts = np.cumsum(lengths) - lengths
+    cum = np.cumsum(counts)
+    offsets = np.repeat(cum[starts] - counts[starts], lengths)
+    ecdf = (cum - offsets) / np.repeat(totals, lengths)
+    model = yule.cdf(sizes, np.repeat(rho, lengths))
+    return np.maximum.reduceat(np.abs(ecdf - model), starts)
+
+
 def ks_statistic(dist: SizeDistribution, rho: float) -> float:
     """Max |ECDF(x) - cdf(x, rho)| over the observed support.
 
@@ -36,9 +51,7 @@ def ks_statistic(dist: SizeDistribution, rho: float) -> float:
     """
     if dist.total_projects < 1:
         raise DomainError("empty distribution has no KS statistic")
-    ecdf = np.cumsum(dist.counts) / dist.total_projects
-    model = yule.cdf(dist.sizes, rho)
-    return float(np.abs(ecdf - model).max())
+    return float(_ks_blocks(dist.sizes, dist.counts, [len(dist)], [rho], [dist.total_projects])[0])
 
 
 @dataclass(frozen=True)
@@ -52,20 +65,29 @@ class GofResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _replica_ks(args: tuple[float, int, int, int, int]) -> float:
-    """KS distance of one synthetic replica against its own refit.
+def _replica_block(args: tuple[float, int, int, int, int, int]) -> np.ndarray:
+    """KS distances of replicas start..stop-1, each against its own refit.
 
-    Returns nan when the replica's fit is degenerate (e.g. an all-singleton
-    resample); the caller counts those as failures.
+    Each replica is drawn straight into a histogram; the non-degenerate ones
+    are refitted together by one batched MLE and scored by one batched KS.
+    A degenerate replica (all singletons) reads nan; the caller counts those
+    as failures.
     """
-    rho_hat, n, seed, index, x_cache = args
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
-    synthetic = SizeDistribution.from_sizes(yule.sample(rho_hat, n, rng, x_cache=x_cache))
-    try:
-        refit = yule.mle_rho(synthetic)
-    except DegenerateDataError:
-        return float("nan")
-    return ks_statistic(synthetic, refit.rho_hat)
+    rho_hat, n, seed, start, stop, x_cache = args
+    hists = []
+    for b in range(start, stop):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
+        hists.append(yule.sample_counts(rho_hat, n, rng, x_cache=x_cache))
+    stats = np.full(stop - start, np.nan)
+    keep = [i for i, (sizes, _) in enumerate(hists) if sizes[-1] >= 2]
+    if keep:
+        sizes = np.concatenate([hists[i][0] for i in keep])
+        counts = np.concatenate([hists[i][1] for i in keep])
+        lengths = np.array([len(hists[i][0]) for i in keep])
+        replica = np.repeat(np.arange(len(keep)), lengths)
+        rho, _ = yule.fit_rho_batch(sizes, counts, replica, len(keep))
+        stats[keep] = _ks_blocks(sizes, counts, lengths, rho, np.full(len(keep), n))
+    return stats
 
 
 def bootstrap_pvalue(
@@ -77,8 +99,9 @@ def bootstrap_pvalue(
 ) -> GofResult:
     """Semi-parametric bootstrap p-value for the Yule-Simon null.
 
-    Replica b consumes the stream derived from (seed, b), so the result is
-    reproducible and independent of how replicas are scheduled across jobs.
+    Replica b consumes the stream derived from (seed, b), and its refit does
+    not depend on which other replicas share its batch, so the result is
+    reproducible and independent of how replicas are split across jobs.
     """
     if n_bootstrap < 100:
         raise DomainError("n_bootstrap must be >= 100 for a usable p-value resolution")
@@ -88,14 +111,16 @@ def bootstrap_pvalue(
     d_obs = ks_statistic(dist, fit.rho_hat)
     n = int(round(dist.total_projects))
 
-    tasks = [(fit.rho_hat, n, seed, b, x_cache) for b in range(n_bootstrap)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stats = list(pool.map(_replica_ks, tasks, chunksize=max(1, n_bootstrap // (8 * jobs))))
+    # one contiguous block of replicas per worker; serial is the one-block case
+    n_blocks = max(1, min(jobs, n_bootstrap))
+    bounds = [n_bootstrap * k // n_blocks for k in range(n_blocks + 1)]
+    tasks = [(fit.rho_hat, n, seed, lo, hi, x_cache) for lo, hi in zip(bounds, bounds[1:])]
+    if n_blocks > 1:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            stats = np.concatenate(list(pool.map(_replica_block, tasks)))
     else:
-        stats = [_replica_ks(t) for t in tasks]
+        stats = _replica_block(tasks[0])
 
-    stats = np.asarray(stats)
     failed = int(np.isnan(stats).sum())
     if failed > _MAX_FAILURE_FRACTION * n_bootstrap:
         raise DegenerateDataError(

@@ -15,6 +15,10 @@ x <= 1e6, rho <= 50.
 The survival function has the exact closed form S(x) = x * B(x, rho+1)
 (telescoping the pmf recurrence), so cumulative quantities never require
 explicit tail summation.
+
+The maximum-likelihood estimate of rho is the root of the score, found by a
+safeguarded Newton iteration in log rho that fits many histograms at once
+(:func:`fit_rho_batch`); a single fit is the one-histogram case.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .distributions import SizeDistribution
 from .errors import ConvergenceError, DegenerateDataError, DomainError
@@ -37,8 +40,10 @@ __all__ = [
     "survival",
     "log_survival",
     "sample",
+    "sample_counts",
     "mle_rho",
     "fit_rho_weighted",
+    "fit_rho_batch",
     "rho_from_p0",
     "p0_from_rho",
 ]
@@ -52,14 +57,18 @@ _STIRLING_MIN = 64.0
 DEFAULT_CDF_CACHE = 100_000
 
 
-def _lgamma_ratio(x: np.ndarray, a: float) -> np.ndarray:
-    """log Gamma(x) - log Gamma(x + a), stable for large x."""
+def _lgamma_ratio(x: np.ndarray, a) -> np.ndarray:
+    """log Gamma(x) - log Gamma(x + a), stable for large x.
+
+    a is a scalar or an array shaped like x (one shift per element).
+    """
+    a = np.broadcast_to(a, x.shape)
     out = np.empty_like(x)
     small = x < _STIRLING_MIN
     xs = x[small]
-    out[small] = gammaln(xs) - gammaln(xs + a)
+    out[small] = gammaln(xs) - gammaln(xs + a[small])
 
-    xl = x[~small]
+    xl, a = x[~small], a[~small]
     u = 1.0 / xl
     v = 1.0 / (xl + a)
     d = a / (xl * (xl + a))  # u - v without cancellation
@@ -73,11 +82,37 @@ def _lgamma_ratio(x: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not np.isfinite(rho) or rho <= 0.0:
+def _digamma_diff(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """psi(a + x) - psi(a) for a >= 1, x >= 0, to full relative accuracy.
+
+    For large a the two digamma values agree in their leading digits, so the
+    difference is taken term by term in the asymptotic series
+    psi(z) ~ log z - 1/(2z) - sum_k B_2k / (2k z^2k) instead.
+    """
+    a, x = np.broadcast_arrays(a, x)
+    out = np.empty(a.shape)
+    small = a < _STIRLING_MIN
+    out[small] = digamma(a[small] + x[small]) - digamma(a[small])
+
+    al, xl = a[~small], x[~small]
+    b = al + xl
+    u, v = 1.0 / al, 1.0 / b
+    d = xl / (al * b)  # u - v without cancellation
+    u2, v2 = u * u, v * v
+    series = d / 2.0 + d * (u + v) / 12.0
+    series -= d * (u + v) * (u2 + v2) / 120.0
+    series += d * sum(u ** (5 - i) * v**i for i in range(6)) / 252.0
+    series -= d * sum(u ** (7 - i) * v**i for i in range(8)) / 240.0
+    out[~small] = np.log1p(xl / al) + series
+    return out
+
+
+def _check_rho(rho):
+    """rho as a float, or as an array when one rho per element is given."""
+    arr = np.asarray(rho, dtype=np.float64)
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError(f"rho must be positive and finite, got {rho}")
-    return rho
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _check_x(x) -> np.ndarray:
@@ -113,8 +148,11 @@ def survival(x, rho: float):
     return np.exp(log_survival(x, rho))
 
 
-def cdf(x, rho: float):
-    """P(X <= x) = 1 - x * B(x, rho+1); equals the pmf prefix sum exactly."""
+def cdf(x, rho):
+    """P(X <= x) = 1 - x * B(x, rho+1); equals the pmf prefix sum exactly.
+
+    rho is a float, or an array shaped like x giving each element its own rho.
+    """
     out = -np.expm1(log_survival(x, rho))
     return out if np.ndim(x) else float(out)
 
@@ -173,6 +211,36 @@ def sample(rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_
     return out.astype(np.int64)
 
 
+def sample_counts(
+    rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_CDF_CACHE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of n draws: (sizes, counts), ascending by size.
+
+    Consumes the same uniforms as :func:`sample` and returns exactly
+    ``np.unique(sample(rho, n, rng, x_cache), return_counts=True)``, but
+    never builds the per-draw sizes: the uniforms are sorted, and the cdf
+    table's edges up to the largest size drawn are searched into them.
+    """
+    rho = _check_rho(rho)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    table = _cdf_table(rho, int(x_cache))
+    u = np.sort(rng.random(n))
+    n_table = int(np.searchsorted(u, table[-1], side="right"))
+    top = int(np.searchsorted(table, u[n_table - 1], side="left")) + 1 if n_table else 0
+    # draws of size <= x, for x = 1..top
+    at_most = np.searchsorted(u, table[:top], side="right")
+    counts = np.diff(at_most, prepend=0)
+    sizes = np.flatnonzero(counts) + 1
+    counts = counts[sizes - 1]
+    if n_table < n:
+        tail = [_invert_tail(1.0 - v, rho, x_cache) for v in u[n_table:]]
+        tail_sizes, tail_counts = np.unique(tail, return_counts=True)
+        sizes = np.concatenate([sizes, tail_sizes])
+        counts = np.concatenate([counts, tail_counts])
+    return sizes.astype(np.int64), counts.astype(np.int64)
+
+
 def rho_from_p0(p0: float) -> float:
     """rho = 1/(1-p0) for founding probability p0 in (0,1)."""
     if not 0.0 < p0 < 1.0:
@@ -203,48 +271,84 @@ class YuleFit:
     domain_flag: bool
 
 
-# MLE bracket in rho; widened automatically on boundary hits.
-_BRACKET = (1e-3, 1e3)
-_LOG_RHO_TOL = 1e-9
-_MAX_WIDENINGS = 5
+# Newton iteration in t = log rho: a replica is frozen once its step falls
+# below _LOG_RHO_TOL; steps are capped at _MAX_LOG_STEP and fall back to
+# bisection of the sign bracket when they would leave it.
+_LOG_RHO_TOL = 1e-10
+_MAX_LOG_STEP = 2.0
+_MAX_ITERATIONS = 100
+
+
+def fit_rho_batch(
+    sizes: np.ndarray, weights: np.ndarray, replica: np.ndarray, n_replicas: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximise sum_x w(x) log pmf(x, rho) for many histograms at once.
+
+    The histograms come as flattened (replica, size, weight) triples;
+    returns (rho, loglik), one entry per replica. In t = log rho the
+    log-likelihood is strictly concave: its derivative
+
+        g(t) = sum_x w(x) [1 - rho (psi(x+rho+1) - psi(rho+1))]
+             = sum_x w(x) [1 - sum_{k=1..x} rho/(rho+k)]
+
+    falls strictly from sum w to sum w (1-x), so it has one root whenever
+    some size >= 2 carries weight. Each replica runs its own safeguarded
+    Newton iteration on g and stops on its own step size; per-replica sums
+    are taken with np.bincount, which adds in input order, so a replica's
+    rho is bitwise the same whether it is fitted alone or in any batch.
+    """
+    sizes = np.asarray(sizes, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    replica = np.asarray(replica, dtype=np.intp)
+    heavy = np.bincount(replica, weights * (sizes >= 2), minlength=n_replicas)
+    if np.any(heavy <= 0):
+        raise DegenerateDataError("all weight on size 1: rho is not identifiable")
+    # start from the singleton-fraction estimate f1/(1-f1)
+    ones = np.bincount(replica, weights * (sizes == 1), minlength=n_replicas)
+    t = np.log(np.maximum(ones / heavy, 1e-2))
+    lo = np.full(n_replicas, -np.inf)
+    hi = np.full(n_replicas, np.inf)
+    active = np.ones(n_replicas, dtype=bool)
+    for _ in range(_MAX_ITERATIONS):
+        on = active[replica]
+        r, x, w = replica[on], sizes[on], weights[on]
+        rho = np.exp(t[r])
+        d1 = _digamma_diff(rho + 1.0, x)  # sum_k 1/(rho+k)
+        d2 = zeta(2, rho + 1.0) - zeta(2, x + rho + 1.0)  # sum_k 1/(rho+k)^2
+        g = np.bincount(r, w * (1.0 - rho * d1), minlength=n_replicas)
+        h = np.bincount(r, w * rho * (rho * d2 - d1), minlength=n_replicas)
+        idx = np.flatnonzero(active)
+        g, h, ti = g[idx], h[idx], t[idx]
+        lo[idx] = np.where(g > 0, ti, lo[idx])
+        hi[idx] = np.where(g < 0, ti, hi[idx])
+        # h < 0 analytically; where rounding says otherwise, step uphill
+        step = np.where(h < 0, -g / np.where(h < 0, h, -1.0), np.sign(g) * _MAX_LOG_STEP)
+        new = ti + np.clip(step, -_MAX_LOG_STEP, _MAX_LOG_STEP)
+        outside = (new < lo[idx]) | (new > hi[idx])
+        new = np.where(outside, 0.5 * (lo[idx] + hi[idx]), new)
+        t[idx] = new
+        active[idx[np.abs(new - ti) < _LOG_RHO_TOL]] = False
+        if not active.any():
+            break
+    else:
+        raise ConvergenceError(
+            f"rho maximisation did not converge in {_MAX_ITERATIONS} Newton steps "
+            f"for {int(active.sum())} of {n_replicas} histograms",
+            best=np.exp(t),
+        )
+    rho = np.exp(t)
+    re = rho[replica]
+    ll = np.log(re) + gammaln(re + 1.0) + _lgamma_ratio(sizes, re + 1.0)
+    return rho, np.bincount(replica, weights * ll, minlength=n_replicas)
 
 
 def fit_rho_weighted(sizes: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Maximise sum_x w(x) log pmf(x, rho) over log rho; returns (rho, loglik)."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
+    """Maximise sum_x w(x) log pmf(x, rho) over rho; returns (rho, loglik).
 
-    def nll(t: float) -> float:
-        r = np.exp(t)
-        ll = np.log(r) + gammaln(r + 1.0) + _lgamma_ratio(sizes, r + 1.0)
-        return -float(np.dot(weights, ll))
-
-    lo, hi = _BRACKET
-    for _ in range(_MAX_WIDENINGS + 1):
-        res = minimize_scalar(
-            nll,
-            bounds=(np.log(lo), np.log(hi)),
-            method="bounded",
-            options={"xatol": _LOG_RHO_TOL, "maxiter": 500},
-        )
-        t_hat = float(res.x)
-        at_lo = t_hat - np.log(lo) < 1e-6
-        at_hi = np.log(hi) - t_hat < 1e-6
-        if not (at_lo or at_hi):
-            if not res.success:
-                raise ConvergenceError(
-                    f"rho maximisation did not converge: {res.message}",
-                    best=float(np.exp(t_hat)),
-                )
-            return float(np.exp(t_hat)), -float(res.fun)
-        if at_lo:
-            lo /= 10.0
-        if at_hi:
-            hi *= 10.0
-    raise ConvergenceError(
-        "rho maximisation pinned to the bracket boundary after widening",
-        best=float(np.exp(t_hat)),
-    )
+    The one-histogram case of :func:`fit_rho_batch`.
+    """
+    rho, ll = fit_rho_batch(sizes, weights, np.zeros(np.size(sizes), dtype=np.intp), 1)
+    return float(rho[0]), float(ll[0])
 
 
 def mle_rho(dist: SizeDistribution) -> YuleFit:

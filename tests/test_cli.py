@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,3 +227,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_optimize_and_stats(self):
+        # both are slow to import and no command needs them at start-up
+        code = ("import sys, forgesim.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src}, timeout=120)
+        assert out.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from forgesim import (
     relative_entry_rates,
     run,
     size_dependent_growth,
+    snapshot_at,
 )
 from forgesim.estimators import DAYS_PER_MONTH
 
@@ -243,6 +244,14 @@ class TestClassification:
                                         censor_horizon_months=horizon_months)
         assert labels["p1"].censored and not labels["p1"].collaborative
         assert not labels["p0"].censored
+
+    def test_overlapping_records_of_one_developer_count_once(self):
+        # d1 holds two overlapping records of p1; snapshot_at gives p1 size 1
+        # in every month, so p1 is not collaborative
+        log = make_log([("d1", "p1", 0), ("d1", "p1", 2, 6)])
+        assert max(len(snapshot_at(log, m).links) for m in range(7)) == 1
+        labels = classify_collaborative(log, observation_end=6)
+        assert not labels["p1"].collaborative
 
     def test_simultaneous_active_pair_required(self):
         # second developer joins only after the first left: size never >= 2

@@ -89,6 +89,29 @@ class TestParse:
         result = parse("developer_id,project_id,entry_month,exit_month\nd1,p1,3,\n")
         assert result.ok and len(result.log) == 1
 
+    def test_header_after_byte_order_mark(self):
+        result = parse("\ufeffdeveloper_id,project_id,entry_month,exit_month\nd1,p1,3,\n")
+        assert result.ok and len(result.log) == 1
+
+    def test_three_column_header(self):
+        result = parse("developer_id,project_id,entry_month\nd1,p1,3\n")
+        assert result.ok and len(result.log) == 1
+
+    def test_malformed_first_row_is_an_error_not_a_header(self):
+        result = parse("d1,p1,2020-1x\nd2,p1,2020-02\n")
+        assert [e.line_no for e in result.errors] == [1]
+        assert len(result.log) == 1
+
+    def test_other_first_row_words_are_not_a_header(self):
+        result = parse("dev,proj,entry,exit\nd1,p1,3,\n")
+        assert [e.line_no for e in result.errors] == [1]
+
+    @pytest.mark.parametrize("token", ["2020-13", "2020-00"])
+    def test_calendar_month_out_of_range_is_row_error(self, token):
+        result = parse(f"d1,p1,2020-01,\nd2,p1,{token},\nd3,p1,2020-12,2020-12\n")
+        assert [e.line_no for e in result.errors] == [2]
+        assert len(result.log) == 2
+
     def test_calendar_months_with_epoch(self):
         result = parse("d1,p1,2003-01,2003-04\n", epoch="2003-01")
         ev = result.log.events[0]
@@ -118,6 +141,16 @@ class TestMonthArithmetic:
     def test_epoch_offsets(self):
         assert month_index("2003-02", epoch="2003-01") == 1
         assert month_index("2004-01", epoch="2003-01") == 12
+
+    @pytest.mark.parametrize("token", ["2020-13", "2020-00", "2020-99"])
+    def test_calendar_month_out_of_range_rejected(self, token):
+        # 2020-13 used to alias 2021-01, and 2020-00 alias 2019-12
+        with pytest.raises(ValueError):
+            month_index(token)
+
+    def test_epoch_month_out_of_range_rejected(self):
+        with pytest.raises(DomainError):
+            month_index("2020-01", epoch="2020-13")
 
 
 class TestGapMask:

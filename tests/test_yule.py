@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.special import digamma, gammaln, polygamma
 
 from forgesim import (
+    ConvergenceError,
     DegenerateDataError,
     DomainError,
     SizeDistribution,
@@ -24,7 +27,16 @@ from forgesim import (
     sample,
     survival,
 )
-from forgesim.yule import DEFAULT_CDF_CACHE, _cdf_table
+from forgesim import yule
+from forgesim.yule import (
+    DEFAULT_CDF_CACHE,
+    _cdf_table,
+    _digamma_diff,
+    _lgamma_ratio,
+    fit_rho_batch,
+    fit_rho_weighted,
+    sample_counts,
+)
 
 
 def rng(seed=0):
@@ -152,6 +164,24 @@ class TestSampling:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             sample(3.0, 0, rng())
+        with pytest.raises(DomainError):
+            sample_counts(3.0, 0, rng())
+
+    @pytest.mark.parametrize(
+        "rho, n, x_cache",
+        [(3.0, 5000, DEFAULT_CDF_CACHE), (1.2, 50_000, 64), (0.5, 2000, 10), (3.0, 1, 64),
+         (1.05, 100_000, DEFAULT_CDF_CACHE)],
+    )
+    def test_sample_counts_is_unique_of_sample(self, rho, n, x_cache):
+        # same stream, same histogram, bit for bit; the small caches force
+        # tail inversion for part of the draws
+        sizes, counts = np.unique(sample(rho, n, rng(17), x_cache=x_cache), return_counts=True)
+        got_sizes, got_counts = sample_counts(rho, n, rng(17), x_cache=x_cache)
+        np.testing.assert_array_equal(got_sizes, sizes)
+        np.testing.assert_array_equal(got_counts, counts)
+        assert got_sizes.dtype == got_counts.dtype == np.int64
+        if x_cache < 100 and n > 1:
+            assert got_sizes[-1] > x_cache
 
 
 class TestMle:
@@ -184,6 +214,149 @@ class TestMle:
         fit = mle_rho(dist)
         assert fit.rho_hat > 0
         assert fit.domain_flag == (fit.rho_hat > 1.0)
+
+
+def _brent_fit_rho_weighted(sizes, weights):
+    """The bounded-Brent MLE that the Newton iteration replaced, kept as an oracle."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+
+    def nll(t):
+        r = np.exp(t)
+        ll = np.log(r) + gammaln(r + 1.0) + _lgamma_ratio(sizes, r + 1.0)
+        return -float(np.dot(weights, ll))
+
+    lo, hi = 1e-3, 1e3
+    for _ in range(6):
+        res = minimize_scalar(nll, bounds=(np.log(lo), np.log(hi)), method="bounded",
+                              options={"xatol": 1e-9, "maxiter": 500})
+        t_hat = float(res.x)
+        at_lo = t_hat - np.log(lo) < 1e-6
+        at_hi = np.log(hi) - t_hat < 1e-6
+        if not (at_lo or at_hi):
+            assert res.success
+            return float(np.exp(t_hat)), -float(res.fun)
+        if at_lo:
+            lo /= 10.0
+        if at_hi:
+            hi *= 10.0
+    raise AssertionError("oracle pinned to its bracket")
+
+
+def _score_terms(sizes, weights, rho):
+    """Per-size terms of d loglik / d log rho, and of its derivative, by scipy."""
+    d1 = digamma(sizes + rho + 1.0) - digamma(rho + 1.0)
+    d2 = polygamma(1, rho + 1.0) - polygamma(1, sizes + rho + 1.0)
+    return weights * (1.0 - rho * d1), weights * rho * (rho * d2 - d1)
+
+
+@st.composite
+def histograms(draw):
+    """Integer-count size histograms with at least one size >= 2."""
+    top = draw(st.sampled_from([5, 50, 1000, 10**6]))
+    sizes = draw(st.lists(st.integers(1, top), min_size=1, max_size=30, unique=True))
+    sizes = np.array(sorted(set(sizes) | {draw(st.integers(2, max(2, top)))}), dtype=np.float64)
+    counts = np.array(draw(st.lists(st.integers(1, 1000), min_size=sizes.size, max_size=sizes.size)),
+                      dtype=np.float64)
+    return sizes, counts
+
+
+class TestNewtonMle:
+    @given(histograms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brent_oracle_and_zeroes_the_score(self, hist):
+        sizes, counts = hist
+        rho, _ = fit_rho_weighted(sizes, counts)
+        rho_old, _ = _brent_fit_rho_weighted(sizes, counts)
+        # The oracle compares float64 likelihood values and stops on a
+        # sqrt(eps)-relative bracket, so on flat likelihoods (few
+        # observations, large rho) it misses the exact root by up to ~1e-6 at
+        # rho ~ 36 ({1: 34, 2: 1}, see the closed-form test) and ~2e-5 at
+        # rho ~ 1e3. It is matched at 1e-4; exactness is checked on the score
+        # here and against closed-form and high-precision roots below.
+        assert rho == pytest.approx(rho_old, rel=1e-4)
+        g, _ = _score_terms(sizes, counts, rho)
+        assert abs(g.sum()) <= 1e-10 * np.sum(counts * sizes)
+
+    @given(st.integers(0, 10_000), st.integers(1, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_root_for_sizes_one_and_two(self, n1, n2):
+        # the score of n1 singletons and n2 pairs vanishes where
+        # n2 rho^2 - n1 rho - 2 (n1 + n2) = 0
+        exact = (n1 + np.sqrt(n1 * n1 + 8.0 * n2 * (n1 + n2))) / (2.0 * n2)
+        rho, _ = fit_rho_weighted([1, 2], [n1, n2])
+        assert rho == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("sizes, counts, rel", [
+        ([1, 2, 3, 7, 40], [700, 150, 60, 9, 1], 1e-12),
+        ([2, 3, 1_000_000], [1, 1, 5], 1e-12),
+        # at rho ~ 1e6 the singleton term 1 - rho/(rho+1) of the score is a
+        # difference of numbers near 1, good to ~eps absolute, which leaves
+        # rho good to ~eps * rho relative
+        ([1, 2], [1e6, 1.0], 1e-9),
+    ])
+    def test_against_high_precision_score_root(self, sizes, counts, rel):
+        mpmath.mp.dps = 40
+        rho, _ = fit_rho_weighted(np.array(sizes), np.array(counts))
+
+        def score(r):
+            return sum(mpmath.mpf(c) * (1 / r + mpmath.digamma(r + 1) - mpmath.digamma(x + r + 1))
+                       for x, c in zip(sizes, counts))
+
+        exact = float(mpmath.findroot(score, mpmath.mpf(rho)))
+        assert rho == pytest.approx(exact, rel=rel)
+
+    def test_replica_bitwise_alone_in_block_and_in_batch(self):
+        hists = [sample_counts(rho, 3000, rng(b)) for b, rho in enumerate([3.0, 1.2, 0.6, 8.0] * 5)]
+
+        def fit(group):
+            sizes = np.concatenate([hists[i][0] for i in group])
+            counts = np.concatenate([hists[i][1] for i in group])
+            replica = np.repeat(np.arange(len(group)), [len(hists[i][0]) for i in group])
+            return fit_rho_batch(sizes, counts, replica, len(group))
+
+        rho_all, ll_all = fit(range(20))
+        rho_block, ll_block = fit(range(5, 12))
+        np.testing.assert_array_equal(rho_block, rho_all[5:12])
+        np.testing.assert_array_equal(ll_block, ll_all[5:12])
+        for i, (sizes, counts) in enumerate(hists):
+            alone = fit_rho_weighted(sizes, counts)
+            assert alone == (rho_all[i], ll_all[i])
+
+    def test_interleaved_triples(self):
+        # the triples of one replica need not be contiguous
+        sizes = np.array([1, 1, 2, 2, 5, 9])
+        counts = np.array([70, 40, 20, 10, 3, 1])
+        replica = np.array([0, 1, 0, 1, 1, 0])
+        rho, _ = fit_rho_batch(sizes, counts, replica, 2)
+        assert rho[0] == pytest.approx(fit_rho_weighted([1, 2, 9], [70, 20, 1])[0], rel=1e-14)
+        assert rho[1] == pytest.approx(fit_rho_weighted([1, 2, 5], [40, 10, 3])[0], rel=1e-14)
+
+    def test_all_singleton_replica_is_degenerate(self):
+        with pytest.raises(DegenerateDataError):
+            fit_rho_batch(np.array([1, 2, 1]), np.array([5.0, 1.0, 7.0]), np.array([0, 0, 1]), 2)
+
+    def test_iteration_cap_raises_with_best_point(self, monkeypatch):
+        monkeypatch.setattr(yule, "_MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            fit_rho_weighted([1, 2, 3], [50.0, 10.0, 4.0])
+        assert info.value.best.shape == (1,) and info.value.best[0] > 0
+
+    def test_digamma_difference_against_mpmath(self):
+        mpmath.mp.dps = 40
+        for a in (1.5, 63.0, 64.0, 1e3, 1e6, 1e9):
+            for x in (0.0, 1.0, 2.0, 17.0, 1e4, 1e8):
+                ours = float(_digamma_diff(np.array([a]), np.array([x]))[0])
+                exact = mpmath.digamma(a + x) - mpmath.digamma(a)
+                assert abs(ours - exact) <= 1e-14 * abs(exact) + 1e-300
+
+    def test_cdf_with_one_rho_per_element(self):
+        x = np.array([1, 5, 100, 10**5])
+        rho = np.array([0.7, 3.0, 1.2, 9.0])
+        per_element = cdf(x, rho)
+        np.testing.assert_array_equal(per_element, [cdf(xi, ri) for xi, ri in zip(x, rho)])
+        with pytest.raises(DomainError):
+            cdf(x, np.array([1.0, 2.0, 0.0, 3.0]))
 
 
 class TestRhoP0Mapping:
