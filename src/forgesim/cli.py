@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, em, estimators, gof, master, simulate, snapshots, yule
 from .distributions import SizeDistribution
-from .errors import ConvergenceError, DomainError, ForgesimError
+from .errors import ConvergenceError, ForgesimError
 from .events import parse_events, read_gap_mask
 from .report import RunManifest, read_table, write_table
 
@@ -62,15 +62,25 @@ def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, s
     cols = {name: i for i, name in enumerate(header)}
     if "size" not in cols or "count" not in cols:
         raise UsageError(f"{path}: expected columns size,count (got {header})")
+
+    def column(name: str, convert) -> list:
+        values = []
+        for k, row in enumerate(rows, start=1):
+            try:
+                values.append(convert(row[cols[name]]))
+            except (ValueError, IndexError) as exc:
+                raise UsageError(f"{path}: data row {k} {','.join(row)!r}: bad {name} cell") from exc
+        return values
+
+    sizes, counts = np.asarray(column("size", int)), np.asarray(column("count", float))
     if "checkpoint_step" in cols:
-        steps = sorted({int(r[cols["checkpoint_step"]]) for r in rows})
-        chosen = args.checkpoint if args.checkpoint is not None else steps[-1]
+        steps = column("checkpoint_step", int)
+        chosen = args.checkpoint if args.checkpoint is not None else max(steps, default=None)
         if chosen not in steps:
-            raise UsageError(f"checkpoint {chosen} not in trace (has {steps})")
-        rows = [r for r in rows if int(r[cols["checkpoint_step"]]) == chosen]
-    sizes = [int(r[cols["size"]]) for r in rows]
-    counts = [float(r[cols["count"]]) for r in rows]
-    return SizeDistribution(np.asarray(sizes), np.asarray(counts)), ""
+            raise UsageError(f"checkpoint {chosen} not in trace (has {sorted(set(steps))})")
+        keep = np.asarray(steps) == chosen
+        sizes, counts = sizes[keep], counts[keep]
+    return SizeDistribution(sizes, counts), ""
 
 
 def _outdir(args) -> Path:
@@ -134,27 +144,21 @@ def cmd_analyze(args) -> int:
     manifest.params.update(events=args.events, months=f"{lo}:{hi}")
     out = _outdir(args)
 
-    months = [m for m in range(lo, hi + 1)]
     summaries = []
-    size_rows, degree_rows = [], []
-    for m in months:
+    summary_rows, size_rows, degree_rows = [], [], []
+    for m in range(lo, hi + 1):
         if m in mask:
+            summary_rows.append((m, "", "", "", 1))
             continue
         snap = snapshots.snapshot_at(log, m)
-        summaries.append(snapshots.summarize(snap))
+        s = snapshots.summarize(snap)
+        summaries.append(s)
+        summary_rows.append((m, s.n_developers, s.n_projects, s.n_links, 0))
         sdist = snapshots.project_size_distribution(snap)
         size_rows.extend((m, int(x), c) for x, c in zip(sdist.sizes, sdist.counts))
         ddist = snapshots.developer_degree_distribution(snap)
         degree_rows.extend((m, int(k), c) for k, c in zip(ddist.degrees, ddist.counts))
 
-    summary_by_month = {s.month: s for s in summaries}
-    summary_rows = []
-    for m in months:
-        s = summary_by_month.get(m)
-        if s is not None:
-            summary_rows.append((m, s.n_developers, s.n_projects, s.n_links, int(m in mask)))
-        else:
-            summary_rows.append((m, "", "", "", int(m in mask)))
     write_table(
         out / "summary.csv",
         ["month", "n_developers", "n_projects", "n_links", "masked"],
@@ -389,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"forgesim {args.command}: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (UsageError, DomainError, ForgesimError, ValueError) as exc:
+    except (UsageError, ForgesimError) as exc:
         print(f"forgesim {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlignmentError, DegenerateDataError, DomainError
 from .events import MembershipEventLog
-from .snapshots import SnapshotSummary, snapshot_at
+from .snapshots import SnapshotSummary, _tally, snapshot_at
 
 __all__ = [
     "GrowthFit",
@@ -201,28 +201,16 @@ def size_dependent_growth(
         raise DomainError(f"log spans {hi - lo} months, need >= {window_months}")
 
     fits: dict[int, GammaFit] = {}
-    start = lo
-    while start + window_months <= hi:
-        window = range(start, start + window_months + 1)
-        if any(m in mask for m in window):
-            start += window_months
+    for start in range(lo, hi - window_months + 1, window_months):
+        if any(m in mask for m in range(start, start + window_months + 1)):
             continue
-        first = snapshot_at(log, start)
-        last = snapshot_at(log, start + window_months)
-        size0: dict[str, int] = {}
-        for _, p in first.links:
-            size0[p] = size0.get(p, 0) + 1
-        size1: dict[str, int] = {}
-        for _, p in last.links:
-            size1[p] = size1.get(p, 0) + 1
-        if not size0:
-            start += window_months
+        size0 = snapshot_at(log, start).sizes()
+        size1 = snapshot_at(log, start + window_months).sizes()
+        present = size0 > 0
+        if not present.any():
             continue
-        projects = sorted(size0)
-        sizes = np.array([size0[p] for p in projects], dtype=np.float64)
-        rates = np.array(
-            [(size1.get(p, 0) - size0[p]) / window_months for p in projects], dtype=np.float64
-        )
+        sizes = size0[present].astype(np.float64)
+        rates = (size1[present] - size0[present]) / window_months
         binned = [(s, g, c) for s, g, c in _log2_bins(sizes, rates, min_bin_count) if g > 0]
         if len(binned) >= 2:
             bx = np.log([b[0] for b in binned])
@@ -237,7 +225,6 @@ def size_dependent_growth(
                 bin_counts=tuple(b[2] for b in binned),
                 window_months=window_months,
             )
-        start += window_months
     if not fits:
         raise DegenerateDataError("no window produced enough populated size bins")
     return fits
@@ -329,40 +316,34 @@ def classify_collaborative(
     censor_horizon_months: float | None = None,
 ) -> dict[str, ProjectLabel]:
     """Label a project collaborative iff it ever reaches size >= 2 by
-    observation_end (size = simultaneously active developers).
+    observation_end (size = simultaneously active developers; overlapping
+    records of one pair count once).
 
     Projects born within censor_horizon_months of the end carry a censoring
     flag: their second developer may simply not have arrived yet. Extending
     observation_end can only turn non-collaborative labels into
-    collaborative ones, never the reverse.
+    collaborative ones, never the reverse. Labels cover the projects born by
+    observation_end, in project-id order.
     """
-    labels: dict[str, ProjectLabel] = {}
+    table = log.table
+    n = len(table.project_ids)
+    ever = np.zeros(n, dtype=bool)
+    # sizes change only at start and stop months, so only those are checked
+    changes = np.unique(np.concatenate([table.start, table.stop]))
+    for month in changes[changes <= observation_end]:
+        ever |= np.bincount(table.project[table.active(month)], minlength=n) >= 2
     horizon = censor_horizon_months if censor_horizon_months is not None else 0.0
-    for project, events in log.by_project.items():
-        first = min(ev.entry_month for ev in events)
-        if first > observation_end:
-            continue
-        collaborative = False
-        # size over time changes only at entry/exit months of this project
-        change_months = sorted(
-            {ev.entry_month for ev in events}
-            | {ev.exit_month for ev in events if ev.exit_month is not None}
-        )
-        for m in change_months:
-            if m > observation_end:
-                break
-            # distinct developers: overlapping records of one pair count once
-            active = {ev.developer_id for ev in events if ev.active_at(m)}
-            if len(active) >= 2:
-                collaborative = True
-                break
-        labels[project] = ProjectLabel(
+    collaborative, first_months = ever.tolist(), table.project_first.tolist()
+    return {
+        project: ProjectLabel(
             project_id=project,
-            collaborative=collaborative,
+            collaborative=collaborative[code],
             first_month=first,
             censored=first > observation_end - horizon,
         )
-    return labels
+        for code, (project, first) in enumerate(zip(table.project_ids, first_months))
+        if first <= observation_end
+    }
 
 
 def collaborative_entry_counts(
@@ -377,33 +358,26 @@ def collaborative_entry_counts(
     project labelled non-collaborative (exclusion at entry month; the data
     does not say whether the original analysis excluded retroactively).
     """
+    table = log.table
     labels = classify_collaborative(log, observation_end)
     lo, hi = months if months is not None else log.month_range
     hi = min(hi, observation_end)
-    idx = np.arange(lo, hi + 1)
-    new_p = np.zeros(idx.size, dtype=np.int64)
-    new_d = np.zeros(idx.size, dtype=np.int64)
-
-    for project, first in log.project_first_month.items():
-        label = labels.get(project)
-        if label is not None and label.collaborative and lo <= first <= hi:
-            new_p[first - lo] += 1
-
-    founders_non_collab: set[str] = set()
-    for project, events in log.by_project.items():
-        label = labels.get(project)
-        if label is None or label.collaborative:
-            continue
-        first = label.first_month
-        for ev in events:
-            if ev.entry_month == first and log.developer_first_month[ev.developer_id] == first:
-                founders_non_collab.add(ev.developer_id)
-
-    for developer, first in log.developer_first_month.items():
-        if lo <= first <= hi and developer not in founders_non_collab:
-            new_d[first - lo] += 1
-
-    return idx, new_p, new_d
+    # labels hold the projects born by observation_end in project-code order;
+    # label[code] is 1 (collaborative), 0 (not) or -1 (born later)
+    label = np.full(len(table.project_ids), -1)
+    label[table.project_first <= observation_end] = [lab.collaborative for lab in labels.values()]
+    # a founder of a non-collaborative project is excluded when that founding
+    # row is also the developer's first link
+    founds = (table.start == table.project_first[table.project]) & (
+        table.start == table.developer_first[table.developer]
+    )
+    excluded = np.zeros(len(table.developer_ids), dtype=bool)
+    excluded[table.developer[founds & (label[table.project] == 0)]] = True
+    return (
+        np.arange(lo, hi + 1),
+        _tally(table.project_first[label == 1], lo, hi),
+        _tally(table.developer_first[~excluded], lo, hi),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +443,16 @@ def interarrival_fit(
     days_per_month. Projects that never gain a second developer are counted
     as censored and excluded from the fit.
     """
-    cohort = set(cohort_months)
-    waits: list[float] = []
-    censored = 0
-    for project, events in log.by_project.items():
-        # second DISTINCT developer; a rejoining founder is not a second one
-        first_join: dict[str, int] = {}
-        for ev in events:
-            prev = first_join.get(ev.developer_id)
-            if prev is None or ev.entry_month < prev:
-                first_join[ev.developer_id] = ev.entry_month
-        joins = sorted(first_join.values())
-        if joins[0] not in cohort:
-            continue
-        if len(joins) >= 2:
-            waits.append((joins[1] - joins[0]) * days_per_month)
-        else:
-            censored += 1
+    t = log.table
+    # a pair's first join is its first row (rows are sorted by project,
+    # developer, start); a rejoining founder is not a second developer
+    first = (np.diff(t.project, prepend=-1) != 0) | (np.diff(t.developer, prepend=-1) != 0)
+    order = np.lexsort((t.start[first], t.project[first]))
+    project, joined = t.project[first][order], t.start[first][order]
+    heads = np.flatnonzero(np.diff(project, prepend=-1))
+    n_joins = np.diff(np.append(heads, project.size))
+    in_cohort = np.isin(joined[heads], list(set(cohort_months)))
+    grew = heads[in_cohort & (n_joins >= 2)]
+    waits = (joined[grew + 1] - joined[grew]) * days_per_month
+    censored = int(np.count_nonzero(in_cohort & (n_joins < 2)))
     return fit_interarrival_waits(waits, n_censored=censored, min_waits=min_waits)

@@ -19,14 +19,18 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
     "MembershipEvent",
     "MembershipEventLog",
+    "LinkTable",
+    "OPEN",
     "ParseIssue",
     "ParseResult",
     "parse_events",
@@ -38,6 +42,8 @@ __all__ = [
 
 DEFAULT_EPOCH = "1970-01"
 
+OPEN = np.iinfo(np.int64).max  # LinkTable stop month of a link with no exit
+
 _CALENDAR_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
 
 
@@ -45,6 +51,7 @@ _CALENDAR_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
 _HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 
 
+@lru_cache(maxsize=16)
 def _epoch_months(epoch: str) -> int:
     m = _CALENDAR_RE.match(epoch)
     if not m:
@@ -56,13 +63,17 @@ def month_index(token: str, epoch: str = DEFAULT_EPOCH) -> int:
     """Parse an integer or YYYY-MM month token into a month index.
 
     Raises ValueError for anything else, including a calendar month outside
-    01-12.
+    01-12 and an integer index whose magnitude reaches 2**62 (the LinkTable
+    holds months as int64, with OPEN for no exit).
     """
     token = token.strip()
     m = _CALENDAR_RE.match(token)
     if m:
         return int(m.group(1)) * 12 + (int(m.group(2)) - 1) - _epoch_months(epoch)
-    return int(token)
+    index = int(token)
+    if abs(index) >= 2**62:
+        raise ValueError(f"month index {index} out of range")
+    return index
 
 
 def month_label(index: int, epoch: str = DEFAULT_EPOCH) -> str:
@@ -84,8 +95,66 @@ class MembershipEvent:
                 f"exit month {self.exit_month} precedes entry month {self.entry_month}"
             )
 
-    def active_at(self, month: int) -> bool:
-        return self.entry_month <= month and (self.exit_month is None or self.exit_month > month)
+
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """The membership log as int-coded, pair-merged intervals.
+
+    Row i links developer_ids[developer[i]] to project_ids[project[i]] in the
+    months [start[i], stop[i]); stop is OPEN for a link with no exit. Records
+    of one pair that overlap or touch are merged into one row, so a pair is
+    active in a month at most once. Zero-length rows (start == stop) are kept:
+    they set first months but are never active. Ids are sorted, rows are
+    ordered by (project, developer, start), and *_first hold each code's
+    first month.
+    """
+
+    developer_ids: tuple[str, ...]
+    project_ids: tuple[str, ...]
+    developer: np.ndarray
+    project: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    developer_first: np.ndarray
+    project_first: np.ndarray
+
+    @classmethod
+    def from_events(cls, events: tuple[MembershipEvent, ...]) -> LinkTable:
+        def coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+            ids = tuple(sorted(set(values)))
+            code = dict(zip(ids, range(len(ids))))
+            return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+        developer_ids, dev = coded([ev.developer_id for ev in events])
+        project_ids, proj = coded([ev.project_id for ev in events])
+        start = np.fromiter((ev.entry_month for ev in events), np.int64, len(events))
+        stop = np.fromiter((OPEN if ev.exit_month is None else ev.exit_month for ev in events),
+                           np.int64, len(events))
+        order = np.lexsort((start, dev, proj))
+        proj, dev, start, stop = proj[order], dev[order], start[order], stop[order]
+        # A row opens a new merged interval unless it starts no later than the
+        # reach of its pair so far (the running max of the pair's earlier
+        # stops). The running max is taken on dense stop ranks offset by pair,
+        # so it never crosses from one pair into the next.
+        new_pair = (np.diff(dev, prepend=-1) != 0) | (np.diff(proj, prepend=-1) != 0)
+        stops, rank = np.unique(stop, return_inverse=True)
+        offset = (np.cumsum(new_pair) - 1) * stops.size
+        reach = stops[np.maximum.accumulate(offset + rank) - offset]
+        opens = new_pair | (start > np.roll(reach, 1))
+        firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
+        np.minimum.at(firsts[0], dev, start)
+        np.minimum.at(firsts[1], proj, start)
+        # an interval stops at the reach of its last row, the row before the next opening
+        return cls(developer_ids, project_ids, dev[opens], proj[opens], start[opens],
+                   reach[np.roll(opens, -1)], *firsts)
+
+    def __post_init__(self):
+        for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
+            getattr(self, name).setflags(write=False)
+
+    def active(self, month: int) -> np.ndarray:
+        """Indices of the rows active in the given month."""
+        return np.flatnonzero((self.start <= month) & (self.stop > month))
 
 
 @dataclass(frozen=True)
@@ -115,26 +184,8 @@ class MembershipEventLog:
         return lo, hi
 
     @cached_property
-    def by_project(self) -> dict[str, tuple[MembershipEvent, ...]]:
-        out: dict[str, list[MembershipEvent]] = {}
-        for ev in self.events:
-            out.setdefault(ev.project_id, []).append(ev)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def by_developer(self) -> dict[str, tuple[MembershipEvent, ...]]:
-        out: dict[str, list[MembershipEvent]] = {}
-        for ev in self.events:
-            out.setdefault(ev.developer_id, []).append(ev)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
-    def project_first_month(self) -> dict[str, int]:
-        return {p: min(ev.entry_month for ev in evs) for p, evs in self.by_project.items()}
-
-    @cached_property
-    def developer_first_month(self) -> dict[str, int]:
-        return {d: min(ev.entry_month for ev in evs) for d, evs in self.by_developer.items()}
+    def table(self) -> LinkTable:
+        return LinkTable.from_events(self.events)
 
 
 @dataclass(frozen=True)
@@ -159,6 +210,14 @@ class ParseResult:
         return not self.errors
 
 
+def _read_lines(source: str | Path | io.TextIOBase) -> list[str]:
+    """Lines of a path or a text stream; bad bytes reach the row checks as surrogates."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+            return fh.readlines()
+    return source.readlines()
+
+
 def parse_events(
     source: str | Path | io.TextIOBase,
     delimiter: str = ",",
@@ -171,11 +230,7 @@ def parse_events(
     (developer, project, entry_month) triples are dropped and reported
     separately. Blank lines are skipped.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
+    lines = _read_lines(source)
 
     events: list[MembershipEvent] = []
     errors: list[ParseIssue] = []
@@ -231,11 +286,7 @@ def parse_events(
 
 def read_gap_mask(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH) -> frozenset[int]:
     """Read a gap-mask file: one masked month index (or YYYY-MM) per line."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        lines = source.readlines()
+    lines = _read_lines(source)
     months = set()
     for line_no, raw in enumerate(lines, start=1):
         token = raw.strip()

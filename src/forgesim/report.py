@@ -52,7 +52,7 @@ def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[s
     metadata: dict[str, str] = {}
     header: list[str] = []
     rows: list[list[str]] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines():
         if not raw.strip():
             continue
         if raw.startswith("#"):

@@ -1,21 +1,22 @@
 """Monthly bipartite snapshots and their derived summaries.
 
 A link (developer, project) is active in month t iff entry_month <= t and
-(no exit or exit_month > t). Everything here is a pure function of the
-immutable event log, so per-month computations are safe to evaluate
-concurrently.
+(no exit or exit_month > t), counted once per pair. A snapshot is a view of
+the log's LinkTable. Everything here is a pure function of the immutable
+event log, so per-month computations are safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .distributions import DegreeDistribution, SizeDistribution
 from .errors import DomainError
-from .events import MembershipEventLog
+from .events import LinkTable, MembershipEventLog
 
 __all__ = [
     "Snapshot",
@@ -31,10 +32,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
     month: int
-    links: frozenset[tuple[str, str]]  # (developer_id, project_id)
+    table: LinkTable
+    rows: np.ndarray  # indices of the table rows active in this month
+
+    @cached_property
+    def links(self) -> frozenset[tuple[str, str]]:
+        """Active (developer_id, project_id) pairs."""
+        t = self.table
+        return frozenset(
+            (t.developer_ids[d], t.project_ids[p])
+            for d, p in zip(t.developer[self.rows].tolist(), t.project[self.rows].tolist())
+        )
+
+    def sizes(self) -> np.ndarray:
+        """Active developers per project code."""
+        return np.bincount(self.table.project[self.rows], minlength=len(self.table.project_ids))
+
+    def degrees(self) -> np.ndarray:
+        """Active projects per developer code."""
+        return np.bincount(self.table.developer[self.rows], minlength=len(self.table.developer_ids))
 
 
 @dataclass(frozen=True)
@@ -50,33 +69,29 @@ def snapshot_at(log: MembershipEventLog, month: int) -> Snapshot:
     lo, hi = log.month_range
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
-    links = {
-        (ev.developer_id, ev.project_id) for ev in log.events if ev.active_at(month)
-    }
-    return Snapshot(month=month, links=frozenset(links))
+    table = log.table
+    return Snapshot(month=month, table=table, rows=table.active(month))
 
 
 def summarize(snapshot: Snapshot) -> SnapshotSummary:
-    developers = {d for d, _ in snapshot.links}
-    projects = {p for _, p in snapshot.links}
     return SnapshotSummary(
         month=snapshot.month,
-        n_developers=len(developers),
-        n_projects=len(projects),
-        n_links=len(snapshot.links),
+        n_developers=int(np.count_nonzero(snapshot.degrees())),
+        n_projects=int(np.count_nonzero(snapshot.sizes())),
+        n_links=int(snapshot.rows.size),
     )
 
 
 def project_size_distribution(snapshot: Snapshot) -> SizeDistribution:
     """n(x): number of projects with exactly x distinct active developers."""
-    sizes = Counter(p for _, p in snapshot.links)
-    return SizeDistribution.from_sizes(list(sizes.values()))
+    sizes = snapshot.sizes()
+    return SizeDistribution.from_sizes(sizes[sizes > 0])
 
 
 def developer_degree_distribution(snapshot: Snapshot) -> DegreeDistribution:
     """f(k): number of developers active in exactly k projects."""
-    degrees = Counter(d for d, _ in snapshot.links)
-    return DegreeDistribution.from_degrees(list(degrees.values()))
+    degrees = snapshot.degrees()
+    return DegreeDistribution.from_degrees(degrees[degrees > 0])
 
 
 def _one_mode(groups: dict[str, list[str]]) -> dict[tuple[str, str], int]:
@@ -121,15 +136,10 @@ class EntryExitCounts:
             object.__setattr__(self, name, arr)
 
 
-def _final_exit(events) -> int | None:
-    """First month the entity is inactive for good: max exit over its links,
-    or None while any link is still open."""
-    latest = None
-    for ev in events:
-        if ev.exit_month is None:
-            return None
-        latest = ev.exit_month if latest is None else max(latest, ev.exit_month)
-    return latest
+def _tally(months: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per-month counts over [lo, hi] of the given months; others are dropped."""
+    inside = months[(months >= lo) & (months <= hi)]
+    return np.bincount(inside - lo, minlength=max(hi - lo + 1, 0))
 
 
 def entry_exit_counts(
@@ -148,28 +158,15 @@ def entry_exit_counts(
     if hi < lo:
         raise DomainError("empty month range")
 
-    idx = np.arange(lo, hi + 1)
-    new_p = np.zeros(idx.size, dtype=np.int64)
-    rem_p = np.zeros(idx.size, dtype=np.int64)
-    new_d = np.zeros(idx.size, dtype=np.int64)
-    rem_d = np.zeros(idx.size, dtype=np.int64)
-
-    def tally(first_by_entity: dict[str, int], grouped, new_arr, rem_arr):
-        for entity, first in first_by_entity.items():
-            if lo <= first <= hi:
-                new_arr[first - lo] += 1
-        for entity, events in grouped.items():
-            final = _final_exit(events)
-            if final is not None and lo <= final <= hi:
-                rem_arr[final - lo] += 1
-
-    tally(log.project_first_month, log.by_project, new_p, rem_p)
-    tally(log.developer_first_month, log.by_developer, new_d, rem_d)
-
+    t = log.table
+    # an entity's last stop is OPEN, which no range holds, while a link is open
+    last = [np.full(len(ids), np.iinfo(np.int64).min) for ids in (t.project_ids, t.developer_ids)]
+    np.maximum.at(last[0], t.project, t.stop)
+    np.maximum.at(last[1], t.developer, t.stop)
     return EntryExitCounts(
-        months=idx,
-        new_projects=new_p,
-        removed_projects=rem_p,
-        new_developers=new_d,
-        removed_developers=rem_d,
+        months=np.arange(lo, hi + 1),
+        new_projects=_tally(t.project_first, lo, hi),
+        removed_projects=_tally(last[0], lo, hi),
+        new_developers=_tally(t.developer_first, lo, hi),
+        removed_developers=_tally(last[1], lo, hi),
     )

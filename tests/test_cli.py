@@ -228,6 +228,27 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_non_numeric_count_cell_exits_2_naming_the_row(self, tmp_path, capsys):
+        table = tmp_path / "hist.csv"
+        table.write_text("size,count\n1,40\n2,many\n")
+        assert main(["fit", str(table), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "data row 2 '2,many': bad count cell" in capsys.readouterr().err
+
+    def test_non_utf8_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "hist.csv"
+        table.write_bytes(b"size,count\n1,\xff\n")
+        assert main(["fit", str(table), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "data row 1 '1,\\udcff': bad count cell" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, yule_sample_file, tmp_path,
+                                                       monkeypatch):
+        def broken(dist):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("forgesim.cli.yule.mle_rho", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["fit", yule_sample_file, "--output-dir", str(tmp_path / "o")])
+
 
 class TestStartup:
     def test_cli_import_skips_scipy_optimize_and_stats(self):

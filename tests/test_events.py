@@ -152,6 +152,13 @@ class TestMonthArithmetic:
         with pytest.raises(DomainError):
             month_index("2020-01", epoch="2020-13")
 
+    def test_integer_index_must_fit_the_link_table(self):
+        assert month_index(str(2**62 - 1)) == 2**62 - 1
+        with pytest.raises(ValueError, match="out of range"):
+            month_index(str(2**63 - 1))  # would read as an open link
+        result = parse(f"d1,p1,0,{2**63 - 1}\n")
+        assert [e.line_no for e in result.errors] == [1]
+
 
 class TestGapMask:
     def test_reads_month_per_line(self):
@@ -165,6 +172,12 @@ class TestGapMask:
     def test_bad_token_raises(self):
         with pytest.raises(DomainError):
             read_gap_mask(io.StringIO("nope\n"))
+
+    def test_non_utf8_line_is_an_unparseable_month(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_bytes(b"3\n\xff\n")
+        with pytest.raises(DomainError, match="line 2"):
+            read_gap_mask(path)
 
 
 class TestLogModel:

@@ -17,7 +17,6 @@ from forgesim import (
     snapshot_at,
     summarize,
 )
-from forgesim.snapshots import Snapshot
 
 
 def make_log(rows):
@@ -92,7 +91,8 @@ class TestSummarize:
         assert summary.n_links == 14
 
     def test_empty_snapshot_all_zero(self):
-        summary = summarize(Snapshot(month=0, links=frozenset()))
+        # a zero-length record puts month 0 in range but is never active
+        summary = summarize(snapshot_at(make_log([("d1", "p1", 0, 0)]), 0))
         assert (summary.n_developers, summary.n_projects, summary.n_links) == (0, 0, 0)
 
     def test_counts_match_independent_recount(self):
@@ -156,13 +156,13 @@ class TestDistributions:
 
         trace = run(SimParams(p0=2.0 / 3.0, n_steps=10_000, seed=3, full_history=True))
         sizes = trace.final.sizes
-        links = set()
+        rows = []
         dev = 0
         for project, size in enumerate(sizes):
             for _ in range(size):
-                links.add((f"d{dev}", f"p{project}"))
+                rows.append((f"d{dev}", f"p{project}", 0))
                 dev += 1
-        dist = project_size_distribution(Snapshot(month=0, links=frozenset(links)))
+        dist = project_size_distribution(snapshot_at(make_log(rows), 0))
         assert dist.as_dict() == trace.final.distribution.as_dict()
 
 
@@ -180,7 +180,7 @@ class TestProjections:
         links = set()
         while len(links) < 120:
             links.add((devs[rng.integers(30)], projs[rng.integers(20)]))
-        snap = Snapshot(month=0, links=frozenset(links))
+        snap = snapshot_at(make_log([(d, p, 0) for d, p in links]), 0)
         B = np.zeros((30, 20), dtype=int)
         for d, p in links:
             B[devs.index(d), projs.index(p)] = 1
