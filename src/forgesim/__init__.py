@@ -37,7 +37,6 @@ from .estimators import (
     size_dependent_growth,
 )
 from .events import (
-    MembershipEvent,
     MembershipEventLog,
     ParseIssue,
     ParseResult,

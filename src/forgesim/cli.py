@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, em, estimators, gof, master, simulate, snapshots, yule
 from .distributions import SizeDistribution
 from .errors import ConvergenceError, ForgesimError
-from .events import parse_events, read_gap_mask
+from .events import month_index, parse_events, read_gap_mask
 from .report import RunManifest, read_table, write_table
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ class UsageError(Exception):
 def _parse_month_range(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition(":")
-        return int(lo), int(hi)
+        return month_index(lo), month_index(hi)
     except ValueError as exc:
         raise UsageError(f"bad month range {text!r}, expected LO:HI") from exc
 

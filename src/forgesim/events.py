@@ -5,7 +5,7 @@ The event file is delimiter-separated text, one membership event per row:
     developer_id,project_id,entry_month,exit_month
 
 exit_month may be empty (the link is still active at the end of the data).
-Months are either plain integer indices or calendar YYYY-MM tokens with MM
+Months are either ASCII integer indices or calendar YYYY-MM tokens with MM
 in 01-12; calendar tokens are converted to integer offsets from a
 configurable epoch right here at the format boundary, and everything
 downstream works on integers. Row 1 is skipped as a header only when its
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import io
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "MembershipEvent",
     "MembershipEventLog",
     "LinkTable",
     "OPEN",
@@ -44,7 +44,8 @@ DEFAULT_EPOCH = "1970-01"
 
 OPEN = np.iinfo(np.int64).max  # LinkTable stop month of a link with no exit
 
-_CALENDAR_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_CALENDAR_RE = re.compile(r"([0-9]{4})-(0[1-9]|1[0-2])")
 
 
 # The documented column names; row 1 is a header only when it carries them.
@@ -53,26 +54,25 @@ _HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 
 @lru_cache(maxsize=16)
 def _epoch_months(epoch: str) -> int:
-    m = _CALENDAR_RE.match(epoch)
+    m = _CALENDAR_RE.fullmatch(epoch)
     if not m:
         raise DomainError(f"epoch must be YYYY-MM, got {epoch!r}")
     return int(m.group(1)) * 12 + (int(m.group(2)) - 1)
 
 
 def month_index(token: str, epoch: str = DEFAULT_EPOCH) -> int:
-    """Parse an integer or YYYY-MM month token into a month index.
+    """Parse an integer ([+-]?[0-9]+) or YYYY-MM month token into a month index.
 
-    Raises ValueError for anything else, including a calendar month outside
-    01-12 and an integer index whose magnitude reaches 2**62 (the LinkTable
-    holds months as int64, with OPEN for no exit).
+    Raises ValueError for anything else, such as 2020-13, 1_2 or non-ASCII
+    digits, and for an integer index whose magnitude reaches 2**62 (months
+    are int64 in the LinkTable, where OPEN means no exit).
     """
     token = token.strip()
-    m = _CALENDAR_RE.match(token)
+    m = _CALENDAR_RE.fullmatch(token)
     if m:
         return int(m.group(1)) * 12 + (int(m.group(2)) - 1) - _epoch_months(epoch)
-    index = int(token)
-    if abs(index) >= 2**62:
-        raise ValueError(f"month index {index} out of range")
+    if not _INTEGER_RE.fullmatch(token) or abs(index := int(token)) >= 2**62:
+        raise ValueError(f"month {token!r} unparseable or out of range")
     return index
 
 
@@ -80,20 +80,6 @@ def month_label(index: int, epoch: str = DEFAULT_EPOCH) -> str:
     """Inverse of month_index for calendar epochs."""
     total = index + _epoch_months(epoch)
     return f"{total // 12:04d}-{total % 12 + 1:02d}"
-
-
-@dataclass(frozen=True)
-class MembershipEvent:
-    developer_id: str
-    project_id: str
-    entry_month: int
-    exit_month: int | None = None
-
-    def __post_init__(self):
-        if self.exit_month is not None and self.exit_month < self.entry_month:
-            raise DomainError(
-                f"exit month {self.exit_month} precedes entry month {self.entry_month}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,17 +105,16 @@ class LinkTable:
     project_first: np.ndarray
 
     @classmethod
-    def from_events(cls, events: tuple[MembershipEvent, ...]) -> LinkTable:
-        def coded(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    def from_log(cls, log: MembershipEventLog) -> LinkTable:
+        """The table of a log; DomainError if two events share (developer, project, entry)."""
+        def coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
             ids = tuple(sorted(set(values)))
             code = dict(zip(ids, range(len(ids))))
             return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
-        developer_ids, dev = coded([ev.developer_id for ev in events])
-        project_ids, proj = coded([ev.project_id for ev in events])
-        start = np.fromiter((ev.entry_month for ev in events), np.int64, len(events))
-        stop = np.fromiter((OPEN if ev.exit_month is None else ev.exit_month for ev in events),
-                           np.int64, len(events))
+        developer_ids, dev = coded(log.developer_id)
+        project_ids, proj = coded(log.project_id)
+        start, stop = log.entry_month, log.exit_month
         order = np.lexsort((start, dev, proj))
         proj, dev, start, stop = proj[order], dev[order], start[order], stop[order]
         # A row opens a new merged interval unless it starts no later than the
@@ -141,6 +126,11 @@ class LinkTable:
         offset = (np.cumsum(new_pair) - 1) * stops.size
         reach = stops[np.maximum.accumulate(offset + rank) - offset]
         opens = new_pair | (start > np.roll(reach, 1))
+        repeats = order[~new_pair & (np.diff(start, prepend=0) == 0)]  # stable: the later events
+        if repeats.size:
+            i = repeats.min()
+            key = (log.developer_id[i], log.project_id[i], int(log.entry_month[i]))
+            raise DomainError(f"duplicate event triple {key}")
         firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
         np.minimum.at(firsts[0], dev, start)
         np.minimum.at(firsts[1], proj, start)
@@ -157,35 +147,44 @@ class LinkTable:
         return np.flatnonzero((self.start <= month) & (self.stop > month))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipEventLog:
-    events: tuple[MembershipEvent, ...]
+    """A membership-event log as columns, one entry per event; OPEN exit_month is no exit."""
 
-    def __post_init__(self):
-        seen = set()
-        for ev in self.events:
-            key = (ev.developer_id, ev.project_id, ev.entry_month)
-            if key in seen:
-                raise DomainError(f"duplicate event triple {key}")
-            seen.add(key)
+    developer_id: tuple[str, ...]
+    project_id: tuple[str, ...]
+    entry_month: np.ndarray
+    exit_month: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, int, int | None]]) -> MembershipEventLog:
+        """The log of (developer, project, entry, exit or None) rows; raises DomainError
+        for an exit before its entry or a repeated (developer, project, entry) triple."""
+        dev, proj, entry, exit_m = tuple(zip(*rows)) or ((),) * 4
+        log = cls(dev, proj, np.array(entry, np.int64),
+                  np.array([OPEN if m is None else m for m in exit_m], np.int64))
+        for column in (log.entry_month, log.exit_month):
+            column.setflags(write=False)
+        if (early := np.flatnonzero(log.exit_month < log.entry_month)).size:
+            i = early[0]
+            raise DomainError(f"exit month {exit_m[i]} precedes entry month {entry[i]}")
+        log.table  # built now, because LinkTable.from_log rejects a repeated triple
+        return log
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.developer_id)
 
     @cached_property
     def month_range(self) -> tuple[int, int]:
         """(first, last) month at which anything is observed to happen."""
-        if not self.events:
+        if not len(self):
             raise DomainError("empty event log has no month range")
-        lo = min(ev.entry_month for ev in self.events)
-        hi = max(
-            ev.exit_month if ev.exit_month is not None else ev.entry_month for ev in self.events
-        )
-        return lo, hi
+        last = np.where(self.exit_month == OPEN, self.entry_month, self.exit_month)
+        return int(self.entry_month.min()), int(last.max())
 
     @cached_property
     def table(self) -> LinkTable:
-        return LinkTable.from_events(self.events)
+        return LinkTable.from_log(self)
 
 
 @dataclass(frozen=True)
@@ -232,10 +231,11 @@ def parse_events(
     """
     lines = _read_lines(source)
 
-    events: list[MembershipEvent] = []
+    rows: list[tuple[str, str, int, int | None]] = []
     errors: list[ParseIssue] = []
     duplicates: list[ParseIssue] = []
     seen: set[tuple[str, str, int]] = set()
+    month = lru_cache(maxsize=None)(partial(month_index, epoch=epoch))  # bad tokens are not cached
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -254,14 +254,14 @@ def parse_events(
             errors.append(ParseIssue(line_no, "empty developer or project id", line))
             continue
         try:
-            entry = month_index(fields[2], epoch)
+            entry = month(fields[2])
         except ValueError:
             errors.append(ParseIssue(line_no, f"unparseable entry month {fields[2]!r}", line))
             continue
         exit_m: int | None = None
         if len(fields) == 4 and fields[3] != "":
             try:
-                exit_m = month_index(fields[3], epoch)
+                exit_m = month(fields[3])
             except ValueError:
                 errors.append(ParseIssue(line_no, f"unparseable exit month {fields[3]!r}", line))
                 continue
@@ -275,10 +275,10 @@ def parse_events(
             duplicates.append(ParseIssue(line_no, f"duplicate triple {key}", line))
             continue
         seen.add(key)
-        events.append(MembershipEvent(dev, proj, entry, exit_m))
+        rows.append((dev, proj, entry, exit_m))
 
     return ParseResult(
-        log=MembershipEventLog(tuple(events)),
+        log=MembershipEventLog.from_rows(rows),
         errors=tuple(errors),
         duplicates=tuple(duplicates),
     )

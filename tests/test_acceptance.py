@@ -244,7 +244,7 @@ class TestCriterion9EstimatorRoundTrips:
                       f"(omega={fit.omega:.5f}, r2={fit.r_squared:.4f})")
 
     def test_gamma_on_simulation(self):
-        from forgesim import MembershipEvent, MembershipEventLog, size_dependent_growth
+        from forgesim import MembershipEventLog, size_dependent_growth
         from forgesim.simulate import initial_state, step, stream_for
 
         params = SimParams(p0=0.3, n_steps=100_000, seed=21)
@@ -260,9 +260,9 @@ class TestCriterion9EstimatorRoundTrips:
             else:
                 grown = int(np.flatnonzero(state.project_sizes[: before.size] != before)[0])
                 proj_of_dev.append(grown)
-        log = MembershipEventLog(tuple(
-            MembershipEvent(f"d{k}", f"p{p}", k // 5000) for k, p in enumerate(proj_of_dev)
-        ))
+        log = MembershipEventLog.from_rows(
+            (f"d{k}", f"p{p}", k // 5000, None) for k, p in enumerate(proj_of_dev)
+        )
         fits = size_dependent_growth(log, window_months=12)
         fit = fits[min(fits)]
         ok = abs(fit.gamma - 1.0) <= 2 * fit.stderr

@@ -61,6 +61,19 @@ class TestAnalyze:
         _, _, rows = read_table(out / "summary.csv")
         assert [r[0] for r in rows] == ["24", "25", "26"]
 
+    @pytest.mark.parametrize("months", ["1_0:2_0", "\uff12\uff14:26", "24", "24:x"])
+    def test_month_range_outside_the_month_rule_exits_2(self, tmp_path, capsys, months):
+        out = tmp_path / "an"
+        assert main(["analyze", FIXTURE, "--months", months, "--output-dir", str(out)]) == 2
+        assert "bad month range" in capsys.readouterr().err
+
+    def test_month_range_takes_calendar_months(self, tmp_path):
+        out = tmp_path / "an"
+        assert main(["analyze", FIXTURE, "--months", "1972-01:1972-03",
+                     "--output-dir", str(out)]) == 0
+        _, _, rows = read_table(out / "summary.csv")
+        assert [r[0] for r in rows] == ["24", "25", "26"]
+
     def test_gap_mask_flagged(self, tmp_path):
         mask = tmp_path / "mask.txt"
         mask.write_text("5\n6\n")

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from event_rows import make_log
 from forgesim import (
     DegenerateDataError,
     DomainError,
-    MembershipEvent,
-    MembershipEventLog,
     SimParams,
     SnapshotSummary,
     classify_collaborative,
@@ -22,11 +21,6 @@ from forgesim import (
     snapshot_at,
 )
 from forgesim.estimators import DAYS_PER_MONTH
-
-
-def make_log(rows):
-    return MembershipEventLog(tuple(MembershipEvent(*r) for r in rows))
-
 
 class TestExponentialGrowth:
     def test_noiseless_series_recovered_exactly(self):
@@ -204,7 +198,7 @@ class TestP0Series:
             ("a", "q2", 1), ("b", "q3", 1),  # established developers found more
             ("pad", "z", 2),
         ]
-        log = MembershipEventLog(tuple(MembershipEvent(*r) for r in rows))
+        log = make_log(rows)
         counts = entry_exit_counts(log)
         series = p0_series(counts.months, counts.new_projects, counts.new_developers)
         assert series.above_one.tolist() == [1]

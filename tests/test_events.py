@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_rows import log_rows, make_log
 from forgesim import (
     DomainError,
-    MembershipEvent,
-    MembershipEventLog,
     month_index,
     month_label,
     parse_events,
@@ -43,9 +42,13 @@ def test_write_parse_round_trip(rows):
     assert result.ok
     parsed = {
         (ev.developer_id, ev.project_id, ev.entry_month, ev.exit_month)
-        for ev in result.log.events
+        for ev in log_rows(result.log)
     }
     assert parsed == set(rows)
+# int() reads the first two as 12, and a \d regex took the third for 2020-01
+
+# int() reads the first two as 12, and a \\d regex took the third for 2020-01
+NOT_ASCII_MONTHS = ["1_2", "\u0661\u0662", "\uff12\uff10\uff12\uff10-01"]
 
 
 def parse(text, **kw):
@@ -57,14 +60,14 @@ class TestParse:
         result = parse("d1,p1,24,\n")
         assert result.ok
         assert len(result.log) == 1
-        ev = result.log.events[0]
+        ev = log_rows(result.log)[0]
         assert (ev.developer_id, ev.project_id, ev.entry_month, ev.exit_month) == (
             "d1", "p1", 24, None,
         )
 
     def test_three_field_row(self):
         result = parse("d1,p1,24\n")
-        assert result.ok and result.log.events[0].exit_month is None
+        assert result.ok and log_rows(result.log)[0].exit_month is None
 
     def test_exit_before_entry_is_row_error(self):
         result = parse("d1,p1,24,20\n")
@@ -112,9 +115,17 @@ class TestParse:
         assert [e.line_no for e in result.errors] == [2]
         assert len(result.log) == 2
 
+    @pytest.mark.parametrize("token", NOT_ASCII_MONTHS)
+    @pytest.mark.parametrize("column", ["entry", "exit"])
+    def test_underscore_and_non_ascii_months_are_row_errors(self, token, column):
+        row = f"d2,p1,{token}," if column == "entry" else f"d2,p1,0,{token}"
+        result = parse(f"d1,p1,3,\n{row}\nd3,p1,2020-12,\n")
+        assert [e.line_no for e in result.errors] == [2]
+        assert len(result.log) == 2
+
     def test_calendar_months_with_epoch(self):
         result = parse("d1,p1,2003-01,2003-04\n", epoch="2003-01")
-        ev = result.log.events[0]
+        ev = log_rows(result.log)[0]
         assert (ev.entry_month, ev.exit_month) == (0, 3)
 
     def test_bad_field_count(self):
@@ -148,6 +159,14 @@ class TestMonthArithmetic:
         with pytest.raises(ValueError):
             month_index(token)
 
+    @pytest.mark.parametrize("token", [*NOT_ASCII_MONTHS, "2020-1\u0662", "3.0", "0x1f", "", "+"])
+    def test_only_ascii_digits_make_a_month(self, token):
+        with pytest.raises(ValueError):
+            month_index(token)
+
+    def test_signed_integer_tokens(self):
+        assert (month_index("-3"), month_index(" +4 ")) == (-3, 4)
+
     def test_epoch_month_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             month_index("2020-01", epoch="2020-13")
@@ -173,6 +192,11 @@ class TestGapMask:
         with pytest.raises(DomainError):
             read_gap_mask(io.StringIO("nope\n"))
 
+    @pytest.mark.parametrize("token", NOT_ASCII_MONTHS)
+    def test_underscore_and_non_ascii_months_raise_with_line_number(self, token):
+        with pytest.raises(DomainError, match="line 2"):
+            read_gap_mask(io.StringIO(f"3\n{token}\n"))
+
     def test_non_utf8_line_is_an_unparseable_month(self, tmp_path):
         path = tmp_path / "mask.txt"
         path.write_bytes(b"3\n\xff\n")
@@ -183,22 +207,22 @@ class TestGapMask:
 class TestLogModel:
     def test_event_invariant(self):
         with pytest.raises(DomainError):
-            MembershipEvent("d", "p", 5, 4)
-        assert MembershipEvent("d", "p", 5, 5).exit_month == 5
+            make_log([("d", "p", 5, 4)])
+        assert log_rows(make_log([("d", "p", 5, 5)]))[0].exit_month == 5
 
     def test_duplicate_triple_rejected_at_construction(self):
-        events = (MembershipEvent("d", "p", 1), MembershipEvent("d", "p", 1, 4))
+        events = (("d", "p", 1), ("d", "p", 1, 4))
         with pytest.raises(DomainError):
-            MembershipEventLog(events)
+            make_log(events)
 
     def test_month_range_covers_exits(self):
-        log = MembershipEventLog(
-            (MembershipEvent("d", "p", 2, 9), MembershipEvent("e", "p", 4))
+        log = make_log(
+            (("d", "p", 2, 9), ("e", "p", 4))
         )
         assert log.month_range == (2, 9)
 
     def test_rejoin_after_exit_is_allowed(self):
-        log = MembershipEventLog(
-            (MembershipEvent("d", "p", 1, 3), MembershipEvent("d", "p", 5))
+        log = make_log(
+            (("d", "p", 1, 3), ("d", "p", 5))
         )
         assert len(log) == 2

@@ -1,8 +1,8 @@
 """The link table against the set-based implementation it replaced.
 
 The oracles below are the former per-event code of `snapshots` and
-`estimators`: they regroup `MembershipEvent` objects into dicts and
-frozensets of string pairs. Every reader of the link table must agree with
+`estimators`: they regroup the log's events (as `event_rows.Row`s) into
+dicts and frozensets of string pairs. Every reader of the link table must agree with
 them, including on logs where one (developer, project) pair has
 overlapping, touching or zero-length records.
 """
@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_rows import log_rows, make_log
 from forgesim import (
     DegenerateDataError,
     DegreeDistribution,
     DomainError,
-    MembershipEvent,
-    MembershipEventLog,
     SizeDistribution,
     SnapshotSummary,
     classify_collaborative,
@@ -44,7 +43,7 @@ def active_at(ev, month):
 
 def group_by(log, key):
     out = {}
-    for ev in log.events:
+    for ev in log_rows(log):
         out.setdefault(key(ev), []).append(ev)
     return out
 
@@ -65,7 +64,9 @@ def oracle_links(log, month):
     lo, hi = log.month_range
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
-    return frozenset((ev.developer_id, ev.project_id) for ev in log.events if active_at(ev, month))
+    return frozenset(
+        (ev.developer_id, ev.project_id) for ev in log_rows(log) if active_at(ev, month)
+    )
 
 
 def oracle_summarize(month, links):
@@ -189,10 +190,6 @@ def oracle_interarrival(log, cohort_months, min_waits=30):
 
 # ---------------------------------------------------------------------------
 # comparison of every reader against its oracle
-
-
-def make_log(rows):
-    return MembershipEventLog(tuple(MembershipEvent(*r) for r in rows))
 
 
 def same_histogram(a, b):
@@ -326,7 +323,7 @@ def test_ids_are_sorted_and_codes_index_them():
 
 
 def test_empty_log_gives_an_empty_table():
-    log = MembershipEventLog(())
+    log = make_log([])
     table = log.table
     assert table.start.size == 0 and table.developer_ids == () and table.project_ids == ()
     assert table.active(0).size == 0

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_rows import log_rows, make_log
 from forgesim import (
     DomainError,
-    MembershipEvent,
-    MembershipEventLog,
     developer_degree_distribution,
     developer_projection,
     entry_exit_counts,
@@ -17,10 +16,6 @@ from forgesim import (
     snapshot_at,
     summarize,
 )
-
-
-def make_log(rows):
-    return MembershipEventLog(tuple(MembershipEvent(*r) for r in rows))
 
 
 def ten_dev_eight_project_log():
@@ -103,7 +98,7 @@ class TestSummarize:
             # the raw event list
             active = {
                 (e.developer_id, e.project_id)
-                for e in log.events
+                for e in log_rows(log)
                 if e.entry_month <= month and (e.exit_month is None or e.exit_month > month)
             }
             s = summarize(snap)
