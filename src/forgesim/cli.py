@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, em, estimators, gof, master, simulate, snapshots, yule
 from .distributions import SizeDistribution
 from .errors import ConvergenceError, ForgesimError
-from .events import month_index, parse_events, read_gap_mask
+from .events import _INTEGER_RE, month_index, parse_events, read_gap_mask
 from .report import RunManifest, read_table, write_table
 
 EXIT_OK = 0
@@ -28,6 +28,13 @@ EXIT_NONCONVERGENCE = 4
 
 class UsageError(Exception):
     pass
+
+
+def _integer(text: str) -> int:
+    """Value of an integer flag: ASCII [+-]?[0-9]+ only, so no underscores or other digits."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return int(text)
 
 
 def _parse_month_range(text: str) -> tuple[int, int]:
@@ -322,13 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the founding-and-joining process")
     p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--checkpoint-at", type=int, action="append",
+    p.add_argument("--replicas", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--checkpoint-at", type=_integer, action="append",
                    help="record a checkpoint at this step (repeatable; default: final step)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -341,9 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_dist_input(p):
         p.add_argument("input", help="size,count table, simulate trace, or events file")
-        p.add_argument("--month", type=int,
+        p.add_argument("--month", type=_integer,
                        help="treat input as an events file and use this month's snapshot")
-        p.add_argument("--checkpoint", type=int,
+        p.add_argument("--checkpoint", type=_integer,
                        help="checkpoint step when the input is a trace (default: last)")
 
     p = sub.add_parser("fit", help="maximum-likelihood Yule-Simon fit")
@@ -353,16 +360,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gof", help="bootstrap goodness-of-fit test")
     add_dist_input(p)
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--bootstrap", type=_integer, default=1000)
+    p.add_argument("--seed", type=_integer, required=True)
+    p.add_argument("--jobs", type=_integer, default=1)
     add_common(p)
     p.set_defaults(func=cmd_gof)
 
     p = sub.add_parser("em", help="EM correction of the singleton count")
     add_dist_input(p)
     p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--max-iterations", type=int, default=500)
+    p.add_argument("--max-iterations", type=_integer, default=500)
     add_common(p)
     p.set_defaults(func=cmd_em)
 
@@ -375,9 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rateeq", help="iterate the mean-field rate equations")
     p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--x-trunc", type=int, default=master.DEFAULT_X_TRUNC)
-    p.add_argument("--record-at", type=int, action="append",
+    p.add_argument("--steps", type=_integer, required=True)
+    p.add_argument("--x-trunc", type=_integer, default=master.DEFAULT_X_TRUNC)
+    p.add_argument("--record-at", type=_integer, action="append",
                    help="record state at this step (repeatable; default: final step)")
     add_common(p)
     p.set_defaults(func=cmd_rateeq)

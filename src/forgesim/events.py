@@ -147,6 +147,10 @@ class LinkTable:
         return np.flatnonzero((self.start <= month) & (self.stop > month))
 
 
+def _is_month(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class MembershipEventLog:
     """A membership-event log as columns, one entry per event; OPEN exit_month is no exit."""
@@ -159,8 +163,13 @@ class MembershipEventLog:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, int, int | None]]) -> MembershipEventLog:
         """The log of (developer, project, entry, exit or None) rows; raises DomainError
-        for an exit before its entry or a repeated (developer, project, entry) triple."""
+        for a month that is not an int or numpy integer (a bool is not), an exit before
+        its entry, or a repeated (developer, project, entry) triple."""
         dev, proj, entry, exit_m = tuple(zip(*rows)) or ((),) * 4
+        if not set(map(type, entry)) <= {int} or not set(map(type, exit_m)) <= {int, type(None)}:
+            for i, row in enumerate(zip(dev, proj, entry, exit_m)):
+                if not _is_month(row[2]) or not (row[3] is None or _is_month(row[3])):
+                    raise DomainError(f"row {i} {row!r}: months must be integers")
         log = cls(dev, proj, np.array(entry, np.int64),
                   np.array([OPEN if m is None else m for m in exit_m], np.int64))
         for column in (log.entry_month, log.exit_month):

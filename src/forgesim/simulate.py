@@ -4,11 +4,20 @@ One developer arrives per step: with probability p0 they found a new project
 of size 1, otherwise they join an existing project r chosen with probability
 proportional to x_r**alpha.
 
-For alpha = 1 the join target is drawn by picking a uniformly random already
-placed developer and joining that developer's project, which realises
-size-proportional selection exactly in O(1). For general alpha a Fenwick tree
-over per-project weights x**alpha provides cumulative-weight search in
-O(log n_projects) with the weight sum maintained incrementally.
+Stream contract. Arrival 0 is the forced founding and draws nothing. Arrival
+k >= 1 draws a branch uniform u; if u < p0 it founds a project, otherwise it
+draws one more uniform v and picks a target. Uniforms are pulled from the
+generator in blocks of _BLOCK, which continue one sequence.
+
+For alpha = 1 the target is the project of arrival floor(v * k), a uniformly
+random already placed developer, which realises size-proportional selection
+exactly. `run` resolves such a run without a per-arrival loop: it locates
+every branch draw in each block with one running maximum, links each joiner
+to the arrival it copies, and finds every arrival's founder by pointer
+jumping. The result is bit for bit what `step` gives on the same stream.
+For general alpha, `step` searches a Fenwick tree over per-project weights
+x**alpha for v times the weight sum, in O(log n_projects) with the sum
+maintained incrementally, and `run` loops over arrivals.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of a
 run derives its stream deterministically as SeedSequence(seed, spawn_key=(r,)),
@@ -65,10 +74,14 @@ class UniformStream:
         return v
 
 
+def _generator(seed: int, replica: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(seed, spawn_key=(replica,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def stream_for(seed: int, replica: int = 0) -> UniformStream:
     """Deterministic uniform stream for (seed, replica)."""
-    seq = np.random.SeedSequence(seed, spawn_key=(replica,))
-    return UniformStream(np.random.Generator(np.random.Philox(seq)))
+    return UniformStream(_generator(seed, replica))
 
 
 @dataclass(frozen=True)
@@ -85,15 +98,19 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 < self.p0 < 1.0:
             raise DomainError(f"p0 must lie in (0,1), got {self.p0}")
+        cps = (self.n_steps,) if self.checkpoints is None else self.checkpoints
+        for name, value in (("n_steps", self.n_steps), ("seed", self.seed),
+                            *(("checkpoint", c) for c in cps)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "seed", int(self.seed))
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not np.isfinite(self.alpha):
             raise DomainError("alpha must be finite")
-        cps = self.checkpoints
-        if cps is None:
-            cps = (self.n_steps,)
         cps = tuple(sorted({int(c) for c in cps}))
         if cps and (cps[0] < 1 or cps[-1] > self.n_steps):
             raise DomainError("checkpoints must lie within [1, n_steps]")
@@ -270,32 +287,89 @@ class SimTrace:
         return tuple((c.step, c.n_projects) for c in self.checkpoints)
 
 
-def run(params: SimParams, replica: int = 0) -> SimTrace:
-    """Run the process from the forced founding for n_steps arrivals."""
+def _copy_links(params: SimParams, replica: int) -> np.ndarray:
+    """The arrival each arrival of an alpha=1 run copies, or itself for a founder.
+
+    Reads the replica's stream block by block. Position i of the stream is a
+    branch draw exactly when position i-1 is not a join's branch draw, so
+    inside a run of joins (u >= p0) the branch draws sit at even offsets from
+    the run's start, and one running maximum of run starts places them all.
+    A join's next uniform v makes arrival k copy arrival floor(v * k); when
+    that uniform opens the next block, the join is carried over to it.
+    """
+    n = params.n_steps
+    parent = np.arange(n, dtype=np.int64)
+    generator = _generator(params.seed, replica)
+    offsets = np.arange(_BLOCK, dtype=np.int64)
+    k = 1  # next arrival to place; arrival 0 is the forced founding and draws nothing
+    carried = False
+    while k < n or carried:
+        u = generator.random(_BLOCK)
+        if carried:
+            parent[k - 1] = int(u[0] * (k - 1))
+        join = u >= params.p0
+        starts = np.where(join, -1, offsets + 1)  # the position after a non-join opens a run
+        starts[1:] = starts[:-1]
+        starts[0] = -1 if carried else 0  # a carried target shifts the parity by one
+        np.maximum.accumulate(starts, out=starts)
+        branch = np.flatnonzero((offsets - starts) % 2 == 0)[: n - k]
+        nth = np.flatnonzero(join[branch])
+        joined, arrivals = branch[nth], k + nth
+        carried = joined.size > 0 and joined[-1] == _BLOCK - 1
+        if carried:
+            joined, arrivals = joined[:-1], arrivals[:-1]
+        parent[arrivals] = (u[joined + 1] * arrivals).astype(np.int64)
+        k += branch.size
+    return parent
+
+
+def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
+    """Project index of every arrival of an alpha=1 run, bit for bit as `step` gives it.
+
+    Every copy link points to an earlier arrival, so pointer jumping over the
+    links reaches each arrival's founder in O(log depth) passes; projects are
+    numbered in founding order.
+    """
+    parent = _copy_links(params, replica)
+    founder = parent == np.arange(parent.size)
+    while not np.array_equal(root := parent[parent], parent):
+        parent = root
+    ids = np.cumsum(founder)
+    ids -= 1
+    return ids[parent]
+
+
+def _fenwick_sizes(params: SimParams, replica: int):
+    """Project sizes at each checkpoint, stepping one arrival at a time."""
     u = stream_for(params.seed, replica)
     state = initial_state(params)
-    pending = list(params.checkpoints)
-    records: list[Checkpoint] = []
+    for c in params.checkpoints:
+        while state.step < c:
+            step(state, params, u)
+        yield state.project_sizes.copy()
 
-    def record():
-        records.append(
-            Checkpoint(
-                step=state.step,
-                n_projects=state.n_projects,
-                distribution=state.size_distribution(),
-                sizes=tuple(int(s) for s in state.project_sizes) if params.full_history else None,
-            )
+
+def run(params: SimParams, replica: int = 0) -> SimTrace:
+    """Run the process from the forced founding and record each checkpoint.
+
+    At alpha = 1 every arrival's project is resolved at once from the whole
+    run; otherwise `step` places one arrival at a time up to the last checkpoint.
+    """
+    if params.alpha == 1.0:
+        project = _arrival_projects(params, replica)
+        sizes_at = (np.bincount(project[:c]) for c in params.checkpoints)
+    else:
+        sizes_at = _fenwick_sizes(params, replica)
+    records = tuple(
+        Checkpoint(
+            step=c,
+            n_projects=sizes.size,
+            distribution=SizeDistribution.from_sizes(sizes),
+            sizes=tuple(sizes.tolist()) if params.full_history else None,
         )
-
-    while pending and pending[0] <= state.step:
-        pending.pop(0)
-        record()
-    while state.step < params.n_steps:
-        step(state, params, u)
-        while pending and pending[0] == state.step:
-            pending.pop(0)
-            record()
-    return SimTrace(params=params, generator=GENERATOR_ID, checkpoints=tuple(records))
+        for c, sizes in zip(params.checkpoints, sizes_at)
+    )
+    return SimTrace(params=params, generator=GENERATOR_ID, checkpoints=records)
 
 
 @dataclass(frozen=True)

@@ -245,21 +245,12 @@ class TestCriterion9EstimatorRoundTrips:
 
     def test_gamma_on_simulation(self):
         from forgesim import MembershipEventLog, size_dependent_growth
-        from forgesim.simulate import initial_state, step, stream_for
+        from forgesim.simulate import _arrival_projects
 
+        # the project of every arrival, as the stepping loop places it
+        # (tests/test_simulate.py pins the two equal for these parameters)
         params = SimParams(p0=0.3, n_steps=100_000, seed=21)
-        state = initial_state(params)
-        u = stream_for(params.seed)
-        proj_of_dev = [0]
-        while state.step < params.n_steps:
-            before_n = state.n_projects
-            before = state.project_sizes.copy()
-            step(state, params, u)
-            if state.n_projects > before_n:
-                proj_of_dev.append(state.n_projects - 1)
-            else:
-                grown = int(np.flatnonzero(state.project_sizes[: before.size] != before)[0])
-                proj_of_dev.append(grown)
+        proj_of_dev = _arrival_projects(params).tolist()
         log = MembershipEventLog.from_rows(
             (f"d{k}", f"p{p}", k // 5000, None) for k, p in enumerate(proj_of_dev)
         )

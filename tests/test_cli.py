@@ -228,6 +228,39 @@ class TestRateeq:
         assert table_bytes(a / "rateeq.csv") == table_bytes(b / "rateeq.csv")
 
 
+_INTEGER_FLAGS = [
+    (["simulate", "--p0", "0.5", "--steps", "10", "--seed", "1"],
+     ["--steps", "--replicas", "--seed", "--checkpoint-at", "--jobs"]),
+    (["fit", FIXTURE], ["--month", "--checkpoint"]),
+    (["gof", FIXTURE, "--seed", "1"], ["--bootstrap", "--seed", "--jobs"]),
+    (["em", FIXTURE], ["--max-iterations"]),
+    (["rateeq", "--p0", "0.5", "--steps", "10"], ["--steps", "--x-trunc", "--record-at"]),
+]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("base, flag", [(b, f) for b, flags in _INTEGER_FLAGS for f in flags])
+    @pytest.mark.parametrize("value", ["1_0", "１０", "10.0", " 10", ""])
+    def test_only_ascii_integers_accepted(self, base, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, value, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5_2_2", "５２２"])
+    def test_month_lookalikes_exit_2(self, value, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", FIXTURE, "--month", value, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "fit.csv").exists()
+
+    def test_signed_integers_accepted(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["fit", FIXTURE, "--month", "+25", "--output-dir", str(a)]) == 0
+        assert main(["fit", FIXTURE, "--month", "25", "--output-dir", str(b)]) == 0
+        assert table_bytes(a / "fit.csv") == table_bytes(b / "fit.csv")
+
+
 class TestExitCodes:
     def test_io_failure_exits_3(self, tmp_path):
         blocker = tmp_path / "file"

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from event_rows import log_rows, make_log
 from forgesim import (
     DomainError,
+    MembershipEventLog,
     month_index,
     month_label,
     parse_events,
@@ -226,3 +228,24 @@ class TestLogModel:
             (("d", "p", 1, 3), ("d", "p", 5))
         )
         assert len(log) == 2
+
+    def test_float_and_string_months_rejected_naming_the_row(self):
+        with pytest.raises(DomainError, match=r"row 0 \('d', 'p', 3.7, None\)"):
+            MembershipEventLog.from_rows([("d", "p", 3.7, None), ("e", "p", "4", 9.9)])
+        with pytest.raises(DomainError, match=r"row 1 \('e', 'p', 4, 9.9\)"):
+            MembershipEventLog.from_rows([("d", "p", 3, None), ("e", "p", 4, 9.9)])
+
+    @pytest.mark.parametrize("entry, exit_m", [
+        ("4", None), (4.0, None), (True, None), (None, None), (np.float64(4), None),
+        (4, "9"), (4, 9.0), (4, False), (4, np.float32(9)),
+    ])
+    def test_non_integer_month_rejected(self, entry, exit_m):
+        rows = [("a", "p", 1, None), ("d", "p", entry, exit_m)]
+        with pytest.raises(DomainError, match="row 1 .*months must be integers"):
+            MembershipEventLog.from_rows(rows)
+
+    def test_numpy_integer_months_accepted(self):
+        log = MembershipEventLog.from_rows(
+            [("d", "p", np.int64(3), None), ("e", "p", np.int32(4), np.uint8(9))])
+        assert log.entry_month.tolist() == [3, 4]
+        assert log_rows(log)[1].exit_month == 9

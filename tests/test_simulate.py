@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forgesim import DomainError, SimParams, initial_state, replicate, run, step
-from forgesim.simulate import _draw, _Fenwick, stream_for
+from forgesim.simulate import _BLOCK, Checkpoint, _arrival_projects, _draw, _Fenwick, stream_for
 
 
 class TestParams:
@@ -22,6 +24,23 @@ class TestParams:
 
     def test_default_checkpoint_is_final_step(self):
         assert SimParams(p0=0.5, n_steps=10, seed=1).checkpoints == (10,)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 10.0), ("n_steps", 10.5), ("n_steps", True), ("n_steps", "10"),
+        ("seed", 1.0), ("seed", False), ("seed", "1"),
+        ("checkpoints", (2.7, 10)), ("checkpoints", (2.0,)), ("checkpoints", (True,)),
+        ("checkpoints", ("5",)),
+    ])
+    def test_rejects_non_integral_input(self, field, value):
+        kwargs = {"p0": 0.5, "n_steps": 10, "seed": 1, field: value}
+        with pytest.raises(DomainError, match="must be an integer"):
+            SimParams(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        params = SimParams(p0=0.5, n_steps=np.int64(10), seed=np.uint64(2**64 - 1),
+                           checkpoints=(np.int32(3), np.int64(10)))
+        assert (params.n_steps, params.seed, params.checkpoints) == (10, 2**64 - 1, (3, 10))
+        assert all(type(v) is int for v in (params.n_steps, params.seed, *params.checkpoints))
 
 
 class TestRun:
@@ -76,6 +95,90 @@ class TestRun:
         target = p0 * rho / (rho + 1.0)
         n1 = trace.final.distribution.count(1)
         assert abs(n1 / 100_000 - target) / target < 0.05
+
+
+def _stepping_run(params, replica=0):
+    """The per-arrival loop `run` used before the vectorised alpha=1 core: one
+    `step` per arrival on the replica's stream, recording each checkpoint as it
+    is reached. Returns the checkpoints and the slot array (at alpha=1, the
+    project of every arrival)."""
+    u = stream_for(params.seed, replica)
+    state = initial_state(params)
+    pending = list(params.checkpoints)
+    records = []
+
+    def record():
+        records.append(
+            Checkpoint(
+                step=state.step,
+                n_projects=state.n_projects,
+                distribution=state.size_distribution(),
+                sizes=tuple(int(s) for s in state.project_sizes) if params.full_history else None,
+            )
+        )
+
+    while pending and pending[0] <= state.step:
+        pending.pop(0)
+        record()
+    while state.step < params.n_steps:
+        step(state, params, u)
+        while pending and pending[0] == state.step:
+            pending.pop(0)
+            record()
+    return tuple(records), state._slots
+
+
+def _assert_same_checkpoints(trace, expected):
+    assert len(trace.checkpoints) == len(expected)
+    for got, want in zip(trace.checkpoints, expected):
+        assert (got.step, got.n_projects, got.sizes) == (want.step, want.n_projects, want.sizes)
+        for a, b in ((got.distribution.sizes, want.distribution.sizes),
+                     (got.distribution.counts, want.distribution.counts)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# Near these n_steps the 2(n-1) uniforms of an all-join run straddle a block
+# boundary, so a join's branch draw can be a block's last uniform.
+_STRADDLING = sorted({m * _BLOCK // 2 + 1 + d for m in range(1, 10) for d in (-2, -1, 0, 1, 2)})
+
+
+class TestVectorisedCore:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p0=st.floats(1e-3, 0.999),
+        n_steps=st.one_of(st.integers(1, 3000), st.sampled_from(_STRADDLING),
+                          st.integers(1, 300_000)),
+        seed=st.integers(0, 2**64 - 1),
+        n_replicas=st.integers(1, 2),
+        full_history=st.booleans(),
+        data=st.data(),
+    )
+    def test_run_equals_stepping_loop(self, p0, n_steps, seed, n_replicas, full_history, data):
+        checkpoints = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(1, n_steps), min_size=1, max_size=6)))
+        params = SimParams(p0=p0, n_steps=n_steps, seed=seed, full_history=full_history,
+                           checkpoints=None if checkpoints is None else tuple(checkpoints))
+        result = replicate(params, n_replicas)
+        for r, trace in enumerate(result.traces):
+            expected, slots = _stepping_run(params, replica=r)
+            _assert_same_checkpoints(trace, expected)
+            assert np.array_equal(_arrival_projects(params, replica=r), slots)
+
+    @pytest.mark.parametrize("p0", [1e-3, 0.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_boundaries(self, p0, seed):
+        params = SimParams(p0=p0, n_steps=5 * _BLOCK // 2 + 3, seed=seed)
+        assert np.array_equal(_arrival_projects(params), _stepping_run(params)[1])
+
+    def test_criterion_9_realisation(self):
+        params = SimParams(p0=0.3, n_steps=100_000, seed=21)
+        assert np.array_equal(_arrival_projects(params), _stepping_run(params)[1])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_fenwick_run_equals_stepping_loop(self, alpha):
+        params = SimParams(p0=0.4, n_steps=3000, seed=12, alpha=alpha,
+                           checkpoints=(1, 2, 700, 2999), full_history=True)
+        _assert_same_checkpoints(run(params, replica=3), _stepping_run(params, replica=3)[0])
 
 
 class TestStep:
