@@ -51,12 +51,9 @@ from .simulate import (
     Checkpoint,
     ReplicateResult,
     SimParams,
-    SimState,
     SimTrace,
-    initial_state,
     replicate,
     run,
-    step,
 )
 from .snapshots import (
     EntryExitCounts,

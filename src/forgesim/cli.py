@@ -30,19 +30,45 @@ class UsageError(Exception):
     pass
 
 
-def _integer(text: str) -> int:
-    """Value of an integer flag: ASCII [+-]?[0-9]+ only, so no underscores or other digits."""
+def _ascii_int(text: str) -> int:
+    """ASCII [+-]?[0-9]+ only, so no underscores or other digits; ValueError otherwise."""
     if not _INTEGER_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+        raise ValueError(f"invalid integer value: {text!r}")
     return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """A float without underscores or non-ASCII characters; ValueError otherwise."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid float value: {text!r}")
+    return float(text)
+
+
+def _integer(text: str) -> int:
+    """Value of an integer flag."""
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _jobs(text: str) -> int:
+    """Value of --jobs: an integer flag of at least 1."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_month_range(text: str) -> tuple[int, int]:
     try:
         lo, _, hi = text.partition(":")
-        return month_index(lo), month_index(hi)
+        lo, hi = month_index(lo), month_index(hi)
+        if lo > hi:
+            raise ValueError(f"{lo} > {hi}")
+        return lo, hi
     except ValueError as exc:
-        raise UsageError(f"bad month range {text!r}, expected LO:HI") from exc
+        raise UsageError(f"bad month range {text!r}, expected LO:HI with LO <= HI") from exc
 
 
 def _load_events(path: str, manifest: RunManifest):
@@ -79,9 +105,10 @@ def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, s
                 raise UsageError(f"{path}: data row {k} {','.join(row)!r}: bad {name} cell") from exc
         return values
 
-    sizes, counts = np.asarray(column("size", int)), np.asarray(column("count", float))
+    sizes = np.asarray(column("size", _ascii_int))
+    counts = np.asarray(column("count", _ascii_float))
     if "checkpoint_step" in cols:
-        steps = column("checkpoint_step", int)
+        steps = column("checkpoint_step", _ascii_int)
         chosen = args.checkpoint if args.checkpoint is not None else max(steps, default=None)
         if chosen not in steps:
             raise UsageError(f"checkpoint {chosen} not in trace (has {sorted(set(steps))})")
@@ -335,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--checkpoint-at", type=_integer, action="append",
                    help="record a checkpoint at this step (repeatable; default: final step)")
-    p.add_argument("--jobs", type=_integer, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -362,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_dist_input(p)
     p.add_argument("--bootstrap", type=_integer, default=1000)
     p.add_argument("--seed", type=_integer, required=True)
-    p.add_argument("--jobs", type=_integer, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     add_common(p)
     p.set_defaults(func=cmd_gof)
 

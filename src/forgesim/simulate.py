@@ -9,15 +9,17 @@ k >= 1 draws a branch uniform u; if u < p0 it founds a project, otherwise it
 draws one more uniform v and picks a target. Uniforms are pulled from the
 generator in blocks of _BLOCK, which continue one sequence.
 
-For alpha = 1 the target is the project of arrival floor(v * k), a uniformly
-random already placed developer, which realises size-proportional selection
-exactly. `run` resolves such a run without a per-arrival loop: it locates
-every branch draw in each block with one running maximum, links each joiner
-to the arrival it copies, and finds every arrival's founder by pointer
-jumping. The result is bit for bit what `step` gives on the same stream.
-For general alpha, `step` searches a Fenwick tree over per-project weights
-x**alpha for v times the weight sum, in O(log n_projects) with the sum
-maintained incrementally, and `run` loops over arrivals.
+`run` has one core per kind of alpha. At alpha = 1 the target is the
+project of arrival floor(v * k), a uniformly random already placed
+developer, which realises size-proportional selection exactly; the core
+resolves the whole run without a per-arrival loop: it locates every branch
+draw in each block with one running maximum, links each joiner to the
+arrival it copies, and finds every arrival's founder by pointer jumping. At
+any other alpha the target is found by searching a Fenwick tree over the
+per-project weights x**alpha for v times the weight sum, in O(log
+n_projects) per join, and the core places one arrival at a time in a loop
+over Python lists. Both cores give bit for bit what a per-arrival stepping
+loop gives on the same stream; the tests hold such a loop as their oracle.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of a
 run derives its stream deterministically as SeedSequence(seed, spawn_key=(r,)),
@@ -28,6 +30,7 @@ generator identity is recorded in every trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,12 +39,9 @@ from .errors import DomainError
 
 __all__ = [
     "SimParams",
-    "SimState",
     "Checkpoint",
     "SimTrace",
     "ReplicateResult",
-    "initial_state",
-    "step",
     "run",
     "replicate",
 ]
@@ -51,37 +51,9 @@ GENERATOR_ID = f"numpy.random.Philox numpy=={np.__version__}"
 _BLOCK = 1 << 16
 
 
-class UniformStream:
-    """Buffered stream of uniforms on [0,1) drawn from a Generator.
-
-    Pulling blocks amortises numpy call overhead; the sequence consumed is a
-    pure function of the underlying generator's seed.
-    """
-
-    __slots__ = ("generator", "_buf", "_pos")
-
-    def __init__(self, generator: np.random.Generator):
-        self.generator = generator
-        self._buf = generator.random(_BLOCK)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= _BLOCK:
-            self._buf = self.generator.random(_BLOCK)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
-
-
 def _generator(seed: int, replica: int) -> np.random.Generator:
     seq = np.random.SeedSequence(seed, spawn_key=(replica,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def stream_for(seed: int, replica: int = 0) -> UniformStream:
-    """Deterministic uniform stream for (seed, replica)."""
-    return UniformStream(_generator(seed, replica))
 
 
 @dataclass(frozen=True)
@@ -115,152 +87,6 @@ class SimParams:
         if cps and (cps[0] < 1 or cps[-1] > self.n_steps):
             raise DomainError("checkpoints must lie within [1, n_steps]")
         object.__setattr__(self, "checkpoints", cps)
-
-
-class _Fenwick:
-    """Binary indexed tree over nonnegative weights with prefix-sum search.
-
-    Updates propagate to the full capacity so plain appends stay consistent;
-    the tree is rebuilt in O(n) on the rare capacity doublings.
-    """
-
-    def __init__(self, capacity: int):
-        self._cap = max(int(capacity), 2)
-        self._tree = np.zeros(self._cap + 1)
-        self._weights = np.zeros(self._cap)
-        self._n = 0
-
-    def append(self, weight: float) -> None:
-        if self._n >= self._cap:
-            self._grow()
-        self._weights[self._n] = weight
-        self._n += 1
-        self._add_tree(self._n - 1, weight)
-
-    def add(self, index: int, delta: float) -> None:
-        self._weights[index] += delta
-        self._add_tree(index, delta)
-
-    def _add_tree(self, index: int, delta: float) -> None:
-        i = index + 1
-        tree = self._tree
-        cap = self._cap
-        while i <= cap:
-            tree[i] += delta
-            i += i & (-i)
-
-    def _grow(self) -> None:
-        self._cap *= 2
-        weights = np.zeros(self._cap)
-        weights[: self._n] = self._weights[: self._n]
-        self._weights = weights
-        tree = np.zeros(self._cap + 1)
-        tree[1 : self._n + 1] = weights[: self._n]
-        for i in range(1, self._cap + 1):
-            j = i + (i & (-i))
-            if j <= self._cap:
-                tree[j] += tree[i]
-        self._tree = tree
-
-    def find(self, value: float) -> int:
-        """0-based index of the element whose prefix interval contains value."""
-        idx = 0
-        bit = 1 << (self._cap.bit_length() - 1)
-        tree = self._tree
-        while bit:
-            nxt = idx + bit
-            if nxt <= self._cap and tree[nxt] <= value:
-                value -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return min(idx, self._n - 1)
-
-
-class SimState:
-    """Evolving state of one run: per-project sizes plus selection machinery.
-
-    The arrays are preallocated for n_steps; `step` mutates the state in
-    place (a per-step copy would turn the run quadratic).
-    """
-
-    __slots__ = ("step", "n_projects", "_sizes", "_slots", "_alpha", "sum_alpha_weights", "_fenwick")
-
-    def __init__(self, n_steps: int, alpha: float):
-        self.step = 1
-        self.n_projects = 1
-        self._alpha = alpha
-        self._sizes = np.zeros(n_steps, dtype=np.int64)
-        self._sizes[0] = 1
-        if alpha == 1.0:
-            # slot s holds the project of the s-th placed developer
-            self._slots = np.zeros(n_steps, dtype=np.int64)
-            self._fenwick = None
-            self.sum_alpha_weights = 1.0
-        else:
-            self._slots = None
-            self._fenwick = _Fenwick(min(n_steps, 1024))
-            self._fenwick.append(1.0)
-            self.sum_alpha_weights = 1.0
-
-    @property
-    def project_sizes(self) -> np.ndarray:
-        view = self._sizes[: self.n_projects]
-        view.setflags(write=False)
-        return view
-
-    def size_distribution(self) -> SizeDistribution:
-        return SizeDistribution.from_sizes(self._sizes[: self.n_projects])
-
-    def _found(self) -> None:
-        self._sizes[self.n_projects] = 1
-        if self._slots is not None:
-            self._slots[self.step] = self.n_projects
-        else:
-            self._fenwick.append(1.0)
-            self.sum_alpha_weights += 1.0
-        self.n_projects += 1
-        self.step += 1
-
-    def _join(self, project: int) -> None:
-        x = self._sizes[project]
-        self._sizes[project] = x + 1
-        if self._slots is not None:
-            self._slots[self.step] = project
-            self.sum_alpha_weights += 1.0
-        else:
-            delta = float(x + 1) ** self._alpha - float(x) ** self._alpha
-            self._fenwick.add(project, delta)
-            self.sum_alpha_weights += delta
-        self.step += 1
-
-
-def initial_state(params: SimParams) -> SimState:
-    """State after the forced founding at N=1: one project of size 1."""
-    return SimState(params.n_steps, params.alpha)
-
-
-def _draw(state: SimState, params: SimParams, u: UniformStream) -> int:
-    """Draw one arrival's decision on the frozen state.
-
-    Returns -1 for a founding, otherwise the index of the project joined.
-    Consumes one uniform for the branch and, on a join, one more for the
-    target.
-    """
-    if u.next() < params.p0:
-        return -1
-    if state._slots is not None:
-        return int(state._slots[int(u.next() * state.step)])
-    return state._fenwick.find(u.next() * state.sum_alpha_weights)
-
-
-def step(state: SimState, params: SimParams, u: UniformStream) -> SimState:
-    """Advance the process by one arriving developer (in place)."""
-    target = _draw(state, params, u)
-    if target < 0:
-        state._found()
-    else:
-        state._join(target)
-    return state
 
 
 @dataclass(frozen=True)
@@ -324,7 +150,7 @@ def _copy_links(params: SimParams, replica: int) -> np.ndarray:
 
 
 def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
-    """Project index of every arrival of an alpha=1 run, bit for bit as `step` gives it.
+    """Project index of every arrival of an alpha=1 run, bit for bit as the stepping loop gives it.
 
     Every copy link points to an earlier arrival, so pointer jumping over the
     links reaches each arrival's founder in O(log depth) passes; projects are
@@ -340,20 +166,78 @@ def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
 
 
 def _fenwick_sizes(params: SimParams, replica: int):
-    """Project sizes at each checkpoint, stepping one arrival at a time."""
-    u = stream_for(params.seed, replica)
-    state = initial_state(params)
+    """Project sizes at each checkpoint of a run at alpha != 1, placed one arrival at a time.
+
+    Three lists hold the state: a Fenwick tree over the per-project weights
+    x**alpha, the weights and the sizes. A join searches the tree for v times
+    the running weight sum in O(log n_projects). Each weight and tree node
+    is the running sum of its updates; when the projects outgrow the tree's
+    capacity, it doubles and the tree is rebuilt from the weights in index
+    order. Every float64 operation is thus fixed by the stream, and the run
+    stops at the last checkpoint.
+    """
+    p0, alpha = params.p0, params.alpha
+    generator = _generator(params.seed, replica)
+    # the stream's uniforms as Python floats, one _BLOCK pulled at a time
+    uniform = chain.from_iterable(iter(lambda: generator.random(_BLOCK).tolist(), None)).__next__
+    cap = max(min(params.n_steps, 1024), 2)
+    top = 1 << (cap.bit_length() - 1)
+    tree = [0.0] * (cap + 1)
+    i = 1
+    while i <= cap:  # the forced founding: project 0 with weight 1
+        tree[i] = 1.0
+        i += i
+    weights, sizes, total = [1.0], [1], 1.0
+    k = 1
     for c in params.checkpoints:
-        while state.step < c:
-            step(state, params, u)
-        yield state.project_sizes.copy()
+        for _ in range(c - k):
+            n = len(sizes)
+            if uniform() < p0:
+                if n == cap:
+                    cap += cap
+                    top += top
+                    tree = [0.0, *weights] + [0.0] * (cap - n)
+                    for i in range(1, cap + 1):
+                        j = i + (i & -i)
+                        if j <= cap:
+                            tree[j] += tree[i]
+                weights.append(1.0)
+                sizes.append(1)
+                i = n + 1
+                while i <= cap:
+                    tree[i] += 1.0
+                    i += i & -i
+                total += 1.0
+            else:
+                value = uniform() * total
+                r, bit = 0, top
+                while bit:
+                    nxt = r + bit
+                    if nxt <= cap and tree[nxt] <= value:
+                        value -= tree[nxt]
+                        r = nxt
+                    bit >>= 1
+                if r >= n:
+                    r = n - 1
+                x = sizes[r]
+                sizes[r] = x + 1
+                delta = float(x + 1) ** alpha - float(x) ** alpha
+                weights[r] += delta
+                i = r + 1
+                while i <= cap:
+                    tree[i] += delta
+                    i += i & -i
+                total += delta
+        k = c
+        yield np.array(sizes, dtype=np.int64)
 
 
 def run(params: SimParams, replica: int = 0) -> SimTrace:
     """Run the process from the forced founding and record each checkpoint.
 
     At alpha = 1 every arrival's project is resolved at once from the whole
-    run; otherwise `step` places one arrival at a time up to the last checkpoint.
+    run; at any other alpha the Fenwick loop places one arrival at a time up
+    to the last checkpoint.
     """
     if params.alpha == 1.0:
         project = _arrival_projects(params, replica)

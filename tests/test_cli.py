@@ -61,11 +61,12 @@ class TestAnalyze:
         _, _, rows = read_table(out / "summary.csv")
         assert [r[0] for r in rows] == ["24", "25", "26"]
 
-    @pytest.mark.parametrize("months", ["1_0:2_0", "\uff12\uff14:26", "24", "24:x"])
+    @pytest.mark.parametrize("months", ["1_0:2_0", "\uff12\uff14:26", "24", "24:x", "26:24"])
     def test_month_range_outside_the_month_rule_exits_2(self, tmp_path, capsys, months):
         out = tmp_path / "an"
         assert main(["analyze", FIXTURE, "--months", months, "--output-dir", str(out)]) == 2
         assert "bad month range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_month_range_takes_calendar_months(self, tmp_path):
         out = tmp_path / "an"
@@ -254,6 +255,16 @@ class TestIntegerFlags:
         assert exc.value.code == 2
         assert not (tmp_path / "fit.csv").exists()
 
+    @pytest.mark.parametrize("base", [b for b, flags in _INTEGER_FLAGS if "--jobs" in flags])
+    @pytest.mark.parametrize("value", ["0", "-3", "+0", "-0"])
+    def test_jobs_below_one_exit_2(self, base, value, tmp_path, capsys):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--jobs", value, "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_signed_integers_accepted(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["fit", FIXTURE, "--month", "+25", "--output-dir", str(a)]) == 0
@@ -274,11 +285,24 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_non_numeric_count_cell_exits_2_naming_the_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize("table_text, message", [
+        pytest.param("size,count\n1,40\n2,many\n", "data row 2 '2,many': bad count cell",
+                     id="count-word"),
+        pytest.param("size,count\n1,40\n1_0,3\n2,5\n", "data row 2 '1_0,3': bad size cell",
+                     id="size-underscore"),
+        pytest.param("size,count\n1,40\n\uff11\uff10,3\n",
+                     "data row 2 '\uff11\uff10,3': bad size cell", id="size-fullwidth"),
+        pytest.param("size,count\n1,4_0\n2,5\n", "data row 1 '1,4_0': bad count cell",
+                     id="count-underscore"),
+        pytest.param("checkpoint_step,size,count\n10,1,4\n1_0,2,5\n",
+                     "data row 2 '1_0,2,5': bad checkpoint_step cell", id="step-underscore"),
+    ])
+    def test_non_numeric_count_cell_exits_2_naming_the_row(self, tmp_path, capsys, table_text,
+                                                           message):
         table = tmp_path / "hist.csv"
-        table.write_text("size,count\n1,40\n2,many\n")
+        table.write_text(table_text, encoding="utf-8")
         assert main(["fit", str(table), "--output-dir", str(tmp_path / "o")]) == 2
-        assert "data row 2 '2,many': bad count cell" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_utf8_table_exits_2(self, tmp_path, capsys):
         table = tmp_path / "hist.csv"

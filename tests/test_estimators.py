@@ -125,25 +125,12 @@ class TestSizeDependentGrowth:
         assert a.intercept == pytest.approx(b.intercept + np.log(3.0), abs=1e-12)
 
     def test_alpha_one_simulation_is_proportional_growth(self):
-        # map a simulated run to pseudo-months (arrival k lands in month
-        # k//5000) by replaying the process step by step and recording which
-        # project each arrival landed on
+        # map a simulated run to pseudo-months: arrival k lands in month
+        # k//5000 on the project the simulator placed it on
         params = SimParams(p0=0.3, n_steps=100_000, seed=21)
-        from forgesim.simulate import initial_state, step, stream_for
+        from forgesim.simulate import _arrival_projects
 
-        state = initial_state(params)
-        u = stream_for(params.seed)
-        joins = [(0, 0)]  # (developer index, project index)
-        proj_of_dev = [0]
-        while state.step < params.n_steps:
-            before = state.project_sizes.copy()
-            step(state, params, u)
-            after = state.project_sizes
-            if after.size > before.size:
-                proj_of_dev.append(after.size - 1)
-            else:
-                grown = int(np.flatnonzero(after[: before.size] != before)[0])
-                proj_of_dev.append(grown)
+        proj_of_dev = _arrival_projects(params).tolist()
         rows = [
             (f"d{k}", f"p{proj}", k // 5000) for k, proj in enumerate(proj_of_dev)
         ]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forgesim import DomainError, SimParams, initial_state, replicate, run, step
-from forgesim.simulate import _BLOCK, Checkpoint, _arrival_projects, _draw, _Fenwick, stream_for
+from forgesim import DomainError, SimParams, replicate, run
+from forgesim.simulate import _BLOCK, _arrival_projects
+from stepping import _draw, _Fenwick, initial_state, step, stepping_run, stream_for
 
 
 class TestParams:
@@ -97,37 +98,6 @@ class TestRun:
         assert abs(n1 / 100_000 - target) / target < 0.05
 
 
-def _stepping_run(params, replica=0):
-    """The per-arrival loop `run` used before the vectorised alpha=1 core: one
-    `step` per arrival on the replica's stream, recording each checkpoint as it
-    is reached. Returns the checkpoints and the slot array (at alpha=1, the
-    project of every arrival)."""
-    u = stream_for(params.seed, replica)
-    state = initial_state(params)
-    pending = list(params.checkpoints)
-    records = []
-
-    def record():
-        records.append(
-            Checkpoint(
-                step=state.step,
-                n_projects=state.n_projects,
-                distribution=state.size_distribution(),
-                sizes=tuple(int(s) for s in state.project_sizes) if params.full_history else None,
-            )
-        )
-
-    while pending and pending[0] <= state.step:
-        pending.pop(0)
-        record()
-    while state.step < params.n_steps:
-        step(state, params, u)
-        while pending and pending[0] == state.step:
-            pending.pop(0)
-            record()
-    return tuple(records), state._slots
-
-
 def _assert_same_checkpoints(trace, expected):
     assert len(trace.checkpoints) == len(expected)
     for got, want in zip(trace.checkpoints, expected):
@@ -160,7 +130,7 @@ class TestVectorisedCore:
                            checkpoints=None if checkpoints is None else tuple(checkpoints))
         result = replicate(params, n_replicas)
         for r, trace in enumerate(result.traces):
-            expected, slots = _stepping_run(params, replica=r)
+            expected, slots = stepping_run(params, replica=r)
             _assert_same_checkpoints(trace, expected)
             assert np.array_equal(_arrival_projects(params, replica=r), slots)
 
@@ -168,17 +138,46 @@ class TestVectorisedCore:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_block_boundaries(self, p0, seed):
         params = SimParams(p0=p0, n_steps=5 * _BLOCK // 2 + 3, seed=seed)
-        assert np.array_equal(_arrival_projects(params), _stepping_run(params)[1])
+        assert np.array_equal(_arrival_projects(params), stepping_run(params)[1])
 
     def test_criterion_9_realisation(self):
         params = SimParams(p0=0.3, n_steps=100_000, seed=21)
-        assert np.array_equal(_arrival_projects(params), _stepping_run(params)[1])
+        assert np.array_equal(_arrival_projects(params), stepping_run(params)[1])
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_fenwick_run_equals_stepping_loop(self, alpha):
         params = SimParams(p0=0.4, n_steps=3000, seed=12, alpha=alpha,
                            checkpoints=(1, 2, 700, 2999), full_history=True)
-        _assert_same_checkpoints(run(params, replica=3), _stepping_run(params, replica=3)[0])
+        _assert_same_checkpoints(run(params, replica=3), stepping_run(params, replica=3)[0])
+
+
+class TestFenwickCore:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        alpha=st.sampled_from([0.5, 0.7, 1.5, 2.0]),
+        p0=st.floats(0.2, 0.95),
+        doublings=st.integers(0, 2),
+        seed=st.integers(0, 2**64 - 1),
+        replica=st.integers(0, 2),
+        full_history=st.booleans(),
+        data=st.data(),
+    )
+    def test_run_equals_stepping_loop(self, alpha, p0, doublings, seed, replica, full_history,
+                                      data):
+        # about 1.3 x 1024 * 2**doublings projects: the tree's capacity starts
+        # at 1024 and doubles doublings + 1 times
+        capacity = 1024 << doublings
+        n_steps = int(1.3 * capacity / p0)
+        checkpoints = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(1, n_steps), min_size=1, max_size=6)))
+        params = SimParams(p0=p0, n_steps=n_steps, seed=seed, alpha=alpha,
+                           full_history=full_history,
+                           checkpoints=None if checkpoints is None else tuple(checkpoints))
+        expected, _ = stepping_run(params, replica=replica)
+        trace = run(params, replica=replica)
+        _assert_same_checkpoints(trace, expected)
+        if trace.final.step == n_steps:
+            assert trace.final.n_projects > capacity
 
 
 class TestStep:
