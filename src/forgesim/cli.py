@@ -142,8 +142,8 @@ def cmd_simulate(args) -> int:
         p0=args.p0, steps=args.steps, alpha=args.alpha, replicas=args.replicas,
         seed=args.seed, generator=simulate.GENERATOR_ID,
     )
-    out = _outdir(args)
     result = simulate.replicate(params, args.replicas, jobs=args.jobs)
+    out = _outdir(args)
     meta = {
         "p0": args.p0, "steps": args.steps, "alpha": args.alpha,
         "seed": args.seed, "generator": simulate.GENERATOR_ID,

@@ -51,6 +51,9 @@ _CALENDAR_RE = re.compile(r"([0-9]{4})-(0[1-9]|1[0-2])")
 # The documented column names; row 1 is a header only when it carries them.
 _HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 
+# The ASCII bytes that str.strip() removes.
+_SPACE = np.array([chr(b).isspace() for b in range(128)])
+
 
 @lru_cache(maxsize=16)
 def _epoch_months(epoch: str) -> int:
@@ -112,9 +115,16 @@ class LinkTable:
             code = dict(zip(ids, range(len(ids))))
             return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
-        developer_ids, dev = coded(log.developer_id)
-        project_ids, proj = coded(log.project_id)
-        start, stop = log.entry_month, log.exit_month
+        return cls._from_codes(*coded(log.developer_id), *coded(log.project_id),
+                               log.entry_month, log.exit_month)
+
+    @classmethod
+    def _from_codes(cls, developer_ids: tuple[str, ...], dev: np.ndarray,
+                    project_ids: tuple[str, ...], proj: np.ndarray,
+                    start: np.ndarray, stop: np.ndarray) -> LinkTable:
+        """The table of events coded into sorted ids: event i links
+        developer_ids[dev[i]] to project_ids[proj[i]] from start[i] to stop[i].
+        DomainError if two events share (developer, project, entry)."""
         order = np.lexsort((start, dev, proj))
         proj, dev, start, stop = proj[order], dev[order], start[order], stop[order]
         # A row opens a new merged interval unless it starts no later than the
@@ -126,10 +136,11 @@ class LinkTable:
         offset = (np.cumsum(new_pair) - 1) * stops.size
         reach = stops[np.maximum.accumulate(offset + rank) - offset]
         opens = new_pair | (start > np.roll(reach, 1))
-        repeats = order[~new_pair & (np.diff(start, prepend=0) == 0)]  # stable: the later events
+        # positions of the later events of a repeated triple (the sort is stable)
+        repeats = np.flatnonzero(~new_pair & (np.diff(start, prepend=0) == 0))
         if repeats.size:
-            i = repeats.min()
-            key = (log.developer_id[i], log.project_id[i], int(log.entry_month[i]))
+            j = repeats[np.argmin(order[repeats])]
+            key = (developer_ids[dev[j]], project_ids[proj[j]], int(start[j]))
             raise DomainError(f"duplicate event triple {key}")
         firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
         np.minimum.at(firsts[0], dev, start)
@@ -170,14 +181,26 @@ class MembershipEventLog:
             for i, row in enumerate(zip(dev, proj, entry, exit_m)):
                 if not _is_month(row[2]) or not (row[3] is None or _is_month(row[3])):
                     raise DomainError(f"row {i} {row!r}: months must be integers")
-        log = cls(dev, proj, np.array(entry, np.int64),
-                  np.array([OPEN if m is None else m for m in exit_m], np.int64))
-        for column in (log.entry_month, log.exit_month):
+        return cls._from_columns(dev, proj, np.array(entry, np.int64),
+                                 np.array([OPEN if m is None else m for m in exit_m], np.int64))
+
+    @classmethod
+    def _from_columns(cls, developer_id: tuple[str, ...], project_id: tuple[str, ...],
+                      entry_month: np.ndarray, exit_month: np.ndarray,
+                      codes: tuple | None = None) -> MembershipEventLog:
+        """The log of four columns, with its link table built now, because building
+        it rejects a repeated triple; DomainError for that or an exit before its
+        entry. codes, if given, are the ids already coded for LinkTable._from_codes
+        as (developer_ids, developer, project_ids, project)."""
+        for column in (entry_month, exit_month):
             column.setflags(write=False)
-        if (early := np.flatnonzero(log.exit_month < log.entry_month)).size:
+        if (early := np.flatnonzero(exit_month < entry_month)).size:
             i = early[0]
-            raise DomainError(f"exit month {exit_m[i]} precedes entry month {entry[i]}")
-        log.table  # built now, because LinkTable.from_log rejects a repeated triple
+            raise DomainError(f"exit month {exit_month[i]} precedes entry month {entry_month[i]}")
+        log = cls(developer_id, project_id, entry_month, exit_month)
+        # fills the cached property, so the table is built once either way
+        vars(log)["table"] = (LinkTable.from_log(log) if codes is None
+                              else LinkTable._from_codes(*codes, entry_month, exit_month))
         return log
 
     def __len__(self) -> int:
@@ -218,12 +241,12 @@ class ParseResult:
         return not self.errors
 
 
-def _read_lines(source: str | Path | io.TextIOBase) -> list[str]:
-    """Lines of a path or a text stream; bad bytes reach the row checks as surrogates."""
+def _read_text(source: str | Path | io.TextIOBase) -> str:
+    """Text of a path or a text stream; bad bytes reach the row checks as surrogates."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            return fh.readlines()
-    return source.readlines()
+            return fh.read()
+    return source.read()
 
 
 def parse_events(
@@ -236,10 +259,98 @@ def parse_events(
     Malformed rows (bad field count, unparseable months, exit before entry)
     are collected with their line numbers; duplicate
     (developer, project, entry_month) triples are dropped and reported
-    separately. Blank lines are skipped.
+    separately. Blank lines are skipped. A line ends at a newline (a path is
+    read with universal newlines). A regular file is parsed in bulk and any
+    other row by row, with the same result.
     """
-    lines = _read_lines(source)
+    text = _read_text(source)
+    result = _parse_regular(text, delimiter, epoch)
+    return _parse_rows(text.split("\n"), delimiter, epoch) if result is None else result
 
+
+def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
+    """The parse of a regular file, done on whole columns; None for any other file.
+
+    A file is regular when it is ASCII without CR or NUL, the delimiter is one
+    ASCII character other than whitespace, and every line after an optional
+    header holds the same number of delimiters, 2 or 3, with ids
+    that are neither empty nor padded, month tokens that parse and no exit
+    before its entry. The row loop finds no row error in such a file, only
+    repeated triples, which are reported here as it reports them. Fields are
+    read as fixed-width byte strings, so a file whose widest field times its
+    line count exceeds its length is not regular either.
+    """
+    if not (len(delimiter) == 1 and delimiter.isascii() and not delimiter.isspace()
+            and text.isascii() and "\r" not in text and "\0" not in text):
+        return None
+    head = text[:text.find("\n")] if "\n" in text else text
+    is_header = tuple(f.strip() for f in head.split(delimiter)) in (_HEADER, _HEADER[:3])
+    skip = len(head) + 1 if is_header else 0
+    body = np.frombuffer(text.encode("ascii"), np.uint8)[skip:]
+    if not body.size:
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    if body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)  # the last line has no newline
+    delimiters = np.flatnonzero(body == ord(delimiter))
+    per_line = np.diff(np.searchsorted(delimiters, ends), prepend=0)
+    n, width = ends.size, int(per_line[0]) + 1
+    if width not in (3, 4) or (per_line != width - 1).any():
+        return None
+    # field c of line r is body[bounds[r, c] + 1:bounds[r, c + 1]]
+    bounds = np.column_stack([np.r_[-1, ends[:-1]], delimiters.reshape(n, width - 1), ends])
+    del delimiters, per_line
+    if n * int(np.diff(bounds, axis=1).max()) > body.size:
+        return None
+
+    def distinct(c: int) -> tuple[list[str], np.ndarray]:
+        """The sorted distinct values of field c and the code of each line's value."""
+        lo, hi = bounds[:, c] + 1, bounds[:, c + 1]
+        chars = np.zeros((n, max(int((hi - lo).max()), 1)), np.uint8)
+        for j in range(chars.shape[1]):  # NUL-padded, and a bytes dtype drops trailing NULs
+            chars[:, j] = np.where(lo + j < hi, body[np.minimum(lo + j, body.size - 1)], 0)
+        # return_index asks for a stable sort, which is faster on byte strings
+        values, _, code = np.unique(chars.view(f"S{chars.shape[1]}")[:, 0],
+                                    return_index=True, return_inverse=True)
+        return values.astype(str).tolist(), code.astype(np.int64, copy=False)
+
+    lo, hi = bounds[:, :2] + 1, bounds[:, 1:3]  # the two ids of each line
+    if ((lo == hi) | _SPACE[body[lo]] | _SPACE[body[hi - 1]]).any():
+        return None  # an empty id, or one that strip() would change
+    (developer_ids, dev), (project_ids, proj) = distinct(0), distinct(1)
+    try:
+        tokens, code = distinct(2)
+        entry = np.array([month_index(t, epoch) for t in tokens], np.int64)[code]
+        tokens, code = distinct(3) if width == 4 else ([""], np.zeros(n, np.int64))
+        exit_m = np.array([month_index(t, epoch) if t.strip() else OPEN for t in tokens],
+                          np.int64)[code]
+    except ValueError:
+        return None
+    if (exit_m < entry).any():
+        return None
+
+    # a stable sort puts the first line of each triple first; the later lines repeat it
+    order = np.lexsort((entry, dev, proj))
+    same = (np.diff(np.stack([proj, dev, entry])[:, order]) == 0).all(axis=0)
+    repeats = np.sort(order[1:][same])
+    duplicates = []
+    for r in repeats.tolist():
+        key = (developer_ids[dev[r]], project_ids[proj[r]], int(entry[r]))
+        line = text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]
+        duplicates.append(ParseIssue(r + 1 + bool(skip), f"duplicate triple {key}", line))
+    keep = np.ones(n, bool)
+    keep[repeats] = False
+    dev, proj, entry, exit_m = dev[keep], proj[keep], entry[keep], exit_m[keep]
+    developer_ids, project_ids = tuple(developer_ids), tuple(project_ids)
+    log = MembershipEventLog._from_columns(
+        tuple(map(developer_ids.__getitem__, dev.tolist())),
+        tuple(map(project_ids.__getitem__, proj.tolist())),
+        entry, exit_m, (developer_ids, dev, project_ids, proj))
+    return ParseResult(log=log, duplicates=tuple(duplicates))
+
+
+def _parse_rows(lines: list[str], delimiter: str, epoch: str) -> ParseResult:
+    """The parse of any file, one line at a time."""
     rows: list[tuple[str, str, int, int | None]] = []
     errors: list[ParseIssue] = []
     duplicates: list[ParseIssue] = []
@@ -295,9 +406,8 @@ def parse_events(
 
 def read_gap_mask(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH) -> frozenset[int]:
     """Read a gap-mask file: one masked month index (or YYYY-MM) per line."""
-    lines = _read_lines(source)
     months = set()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_read_text(source).split("\n"), start=1):
         token = raw.strip()
         if not token:
             continue

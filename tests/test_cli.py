@@ -47,6 +47,13 @@ class TestSimulate:
         assert code == 2
         assert "p0" in capsys.readouterr().err
 
+    def test_zero_replicas_exits_2_without_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "rep0"
+        assert main(["simulate", "--p0", "0.5", "--steps", "10", "--seed", "1",
+                     "--replicas", "0", "--output-dir", str(out)]) == 2
+        assert "n_replicas" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_matches_checked_in_goldens(self, tmp_path):

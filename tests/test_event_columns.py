@@ -6,7 +6,10 @@ again to build its link table. That code is kept below as the oracle. It
 shares `month_index` with the column parser, so both apply the same month
 token rule; everything after the token is compared: row errors and
 duplicates (line number, message and raw line), the rows, the month range,
-every link-table array, and the errors `from_rows` raises.
+every link-table array, and the errors `from_rows` raises. `parse_events`
+reads a regular file on whole columns and any other row by row; regular
+files, which the general file strategy seldom yields, get their own strategy
+and one-defect variants, so both paths are held to the oracle.
 """
 
 import io
@@ -18,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from event_rows import Row, log_rows
-from forgesim import DomainError, MembershipEventLog, ParseIssue, month_index, parse_events
+from forgesim import (
+    DomainError, MembershipEventLog, ParseIssue, events, month_index, month_label, parse_events,
+)
 from forgesim.events import DEFAULT_EPOCH, OPEN, LinkTable
 
 HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
@@ -147,8 +152,9 @@ def assert_same_table(got, want):
         assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
 
-def assert_parses_like_the_oracle(text, epoch=DEFAULT_EPOCH):
-    result = parse_events(io.StringIO(text), epoch=epoch)
+def assert_parses_like_the_oracle(text, epoch=DEFAULT_EPOCH, source=None):
+    """parse_events of text, or of source holding text, against the oracle's parse of text."""
+    result = parse_events(io.StringIO(text) if source is None else source, epoch=epoch)
     events, errors, duplicates = oracle_parse(text, epoch=epoch)
     assert list(result.errors) == errors
     assert list(result.duplicates) == duplicates
@@ -238,3 +244,93 @@ def test_log_columns_are_read_only():
         assert column.dtype == np.int64
         with pytest.raises(ValueError):
             column[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# regular files, which parse_events reads in bulk on whole columns
+
+
+@st.composite
+def regular_files(draw):
+    """Regular event files: one field count throughout, ASCII, well-formed
+    ids and months, no exit before its entry; zero-length rows and repeated
+    triples (which the parse drops and reports) are common."""
+    epoch = draw(st.sampled_from([DEFAULT_EPOCH, "1970-02"]))
+    width = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(["d0", "d1", "d22", "dev-3"]), st.sampled_from(["p0", "p1", "proj2"]),
+        st.integers(-2, 30), st.one_of(st.none(), st.integers(0, 6)),
+    ), min_size=1, max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # repeated triples
+    rows = draw(st.permutations(rows))
+
+    def token(index):
+        return draw(st.sampled_from([str(index), month_label(index, epoch)]))
+
+    lines = []
+    for dev, proj, entry, stay in rows:
+        fields = [dev, proj, token(entry)]
+        if width == 4:
+            fields.append("" if stay is None else token(entry + stay))
+        lines.append(",".join(fields))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(HEADER[:width]))
+    return "".join(line + "\n" for line in lines), epoch
+
+
+@given(regular_files())
+@settings(max_examples=200, deadline=None)
+def test_bulk_parser_matches_the_object_parser(file):
+    text, epoch = file
+    assert events._parse_regular(text, ",", epoch) is not None
+    assert_parses_like_the_oracle(text, epoch)
+
+
+REGULAR = (
+    "developer_id,project_id,entry_month,exit_month\n"
+    "d1,p1,1970-03,1970-05\n"
+    "d2,p1,4,\n"
+    "d1,p2,6,6\n"
+    "d1,p1,1970-03,9\n"
+    "d3,p2,7,12\n"
+)
+
+
+@pytest.mark.parametrize("text, regular", [
+    (REGULAR, True),
+    (REGULAR.rstrip("\n"), True),  # no final newline
+    (REGULAR.replace("d2,p1,4,", "d2,p1, 4 ,  "), True),  # padded month tokens
+    (REGULAR.replace("d2,p1,4,", "d2,p1,4,\r"), False),  # CR line
+    ("\ufeff" + REGULAR, False),  # byte-order mark
+    (REGULAR.replace("d2,p1,4,\n", "d2,p1,4,\n\n"), False),  # blank line
+    (REGULAR.replace("d2,p1,4,", "d2,p1,4"), False),  # 3 fields among 4
+    (REGULAR.replace("d2,p1,4,", "d2 ,p1,4,"), False),  # padded id
+    (REGULAR.replace("d2,p1,4,", "d2,,4,"), False),  # empty id
+    (REGULAR.replace("d2,p1,4,", "d2,p1,4x,"), False),  # bad month
+    (REGULAR.replace("d3,p2,7,12", "d3,p2,7,5"), False),  # exit before entry
+    (REGULAR.replace("d3,p2", "dé,p2"), False),  # non-ASCII id
+    (REGULAR.replace("d3,p2", "d3\0,p2"), False),  # NUL in an id
+    (REGULAR.replace("d3,p2", "d" * 200 + ",p2"), False),  # one id wider than the file allows
+])
+def test_one_defect_variants_parse_like_the_object_parser(text, regular):
+    assert (events._parse_regular(text, ",", DEFAULT_EPOCH) is not None) == regular
+    assert_parses_like_the_oracle(text)
+
+
+def row_loop_not_called(*args):
+    raise AssertionError("a regular file reached the row loop")
+
+
+def test_crlf_file_from_a_path_is_read_in_bulk(tmp_path, monkeypatch):
+    text = REGULAR.replace("\n", "\r\n")
+    path = tmp_path / "events.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(events, "_parse_rows", row_loop_not_called)
+    assert_parses_like_the_oracle(text, source=path)
+
+
+def test_regular_file_never_reaches_the_row_loop(monkeypatch):
+    text = REGULAR + "d2,p1,4,9\n"
+    monkeypatch.setattr(events, "_parse_rows", row_loop_not_called)
+    assert_parses_like_the_oracle(text)
+    assert [d.line_no for d in parse_events(io.StringIO(text)).duplicates] == [5, 7]

@@ -1,5 +1,7 @@
 """Tests of the founding-and-joining process generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,23 @@ class TestFenwickCore:
         _assert_same_checkpoints(trace, expected)
         if trace.final.step == n_steps:
             assert trace.final.n_projects > capacity
+
+    # SHA-256 of every checkpoint of these runs, recorded at commit 5b32edd. The
+    # stepping oracle shares the core's generator and block reads, so a change
+    # to those passes the test above; these digests pin the outputs themselves.
+    @pytest.mark.parametrize("alpha, digest", [
+        (0.7, "70e27e193e8a34818b61626aed155ebd70e55ef2d75b2792eb351b78ddf14c5b"),
+        (1.5, "4c63d2ceb8e53673b11f3c33285c0d66e1687778c151689bff1b2f22f6405a83"),
+    ])
+    def test_outputs_match_recorded_digests(self, alpha, digest):
+        # about 1.8e4 projects: the tree's capacity doubles from 1024 five times
+        params = SimParams(p0=0.3, n_steps=60_000, seed=2015, alpha=alpha,
+                           checkpoints=(1_000, 5_000, 20_000, 60_000), full_history=True)
+        sha = hashlib.sha256()
+        for cp in run(params, replica=1).checkpoints:
+            sha.update(np.array([cp.step, cp.n_projects, *cp.sizes], "<i8").tobytes())
+            sha.update(np.asarray(cp.distribution.counts, "<f8").tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestStep:
