@@ -38,8 +38,8 @@ def _ascii_int(text: str) -> int:
 
 
 def _ascii_float(text: str) -> float:
-    """A float without underscores or non-ASCII characters; ValueError otherwise."""
-    if "_" in text or not text.isascii():
+    """A float without underscores, non-ASCII characters or padding; ValueError otherwise."""
+    if "_" in text or not text.isascii() or text != text.strip():
         raise ValueError(f"invalid float value: {text!r}")
     return float(text)
 
@@ -50,6 +50,14 @@ def _integer(text: str) -> int:
         return _ascii_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _real(text: str) -> float:
+    """Value of a float flag."""
+    try:
+        return _ascii_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _jobs(text: str) -> int:
@@ -87,6 +95,8 @@ def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, s
     """Distribution from a size,count table, a trace file, or events+month."""
     path = args.input
     if args.month is not None:
+        if args.checkpoint is not None:
+            raise UsageError("--checkpoint applies to a trace, not to --month")
         log = _load_events(path, manifest)
         snap = snapshots.snapshot_at(log, args.month)
         return snapshots.project_size_distribution(snap), str(args.month)
@@ -107,6 +117,8 @@ def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, s
 
     sizes = np.asarray(column("size", _ascii_int))
     counts = np.asarray(column("count", _ascii_float))
+    if args.checkpoint is not None and "checkpoint_step" not in cols:
+        raise UsageError(f"--checkpoint applies to a trace, and {path} has no checkpoint_step")
     if "checkpoint_step" in cols:
         steps = column("checkpoint_step", _ascii_int)
         chosen = args.checkpoint if args.checkpoint is not None else max(steps, default=None)
@@ -172,9 +184,14 @@ def cmd_analyze(args) -> int:
     if args.gap_mask:
         mask = read_gap_mask(args.gap_mask)
         manifest.add_input(args.gap_mask)
-    lo, hi = log.month_range
-    if args.months:
-        lo, hi = _parse_month_range(args.months)
+    first, last = log.month_range
+    lo, hi = _parse_month_range(args.months) if args.months else (first, last)
+    # the first month the snapshot loop below would reject, found before any output is written
+    outside = (m for r in (range(lo, min(hi + 1, first)), range(max(lo, last + 1), hi + 1))
+               for m in r if m not in mask)
+    if (month := next(outside, None)) is not None:
+        raise UsageError(f"bad month range {args.months!r}: month {month} outside observed "
+                         f"range [{first}, {last}]")
     manifest.params.update(events=args.events, months=f"{lo}:{hi}")
     out = _outdir(args)
 
@@ -355,9 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".", help="directory for tables and manifest")
 
     p = sub.add_parser("simulate", help="run the founding-and-joining process")
-    p.add_argument("--p0", type=float, required=True)
+    p.add_argument("--p0", type=_real, required=True)
     p.add_argument("--steps", type=_integer, required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_real, default=1.0)
     p.add_argument("--replicas", type=_integer, default=1)
     p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--checkpoint-at", type=_integer, action="append",
@@ -395,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("em", help="EM correction of the singleton count")
     add_dist_input(p)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=_real, default=1e-4)
     p.add_argument("--max-iterations", type=_integer, default=500)
     add_common(p)
     p.set_defaults(func=cmd_em)
@@ -408,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_p0)
 
     p = sub.add_parser("rateeq", help="iterate the mean-field rate equations")
-    p.add_argument("--p0", type=float, required=True)
+    p.add_argument("--p0", type=_real, required=True)
     p.add_argument("--steps", type=_integer, required=True)
     p.add_argument("--x-trunc", type=_integer, default=master.DEFAULT_X_TRUNC)
     p.add_argument("--record-at", type=_integer, action="append",

@@ -42,8 +42,8 @@ class EMConfig:
     rho_init: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from pathlib import Path
@@ -108,25 +108,12 @@ class LinkTable:
     project_first: np.ndarray
 
     @classmethod
-    def from_log(cls, log: MembershipEventLog) -> LinkTable:
-        """The table of a log; DomainError if two events share (developer, project, entry)."""
-        def coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-            ids = tuple(sorted(set(values)))
-            code = dict(zip(ids, range(len(ids))))
-            return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-
-        return cls._from_codes(*coded(log.developer_id), *coded(log.project_id),
-                               log.entry_month, log.exit_month)
-
-    @classmethod
-    def _from_codes(cls, developer_ids: tuple[str, ...], dev: np.ndarray,
-                    project_ids: tuple[str, ...], proj: np.ndarray,
-                    start: np.ndarray, stop: np.ndarray) -> LinkTable:
-        """The table of events coded into sorted ids: event i links
-        developer_ids[dev[i]] to project_ids[proj[i]] from start[i] to stop[i].
-        DomainError if two events share (developer, project, entry)."""
-        order = np.lexsort((start, dev, proj))
-        proj, dev, start, stop = proj[order], dev[order], start[order], stop[order]
+    def _from_sorted(cls, developer_ids: tuple[str, ...], dev: np.ndarray,
+                     project_ids: tuple[str, ...], proj: np.ndarray,
+                     start: np.ndarray, stop: np.ndarray) -> LinkTable:
+        """The table of events coded into sorted ids, ordered by (project,
+        developer, start) with no two sharing all three: event i links
+        developer_ids[dev[i]] to project_ids[proj[i]] from start[i] to stop[i]."""
         # A row opens a new merged interval unless it starts no later than the
         # reach of its pair so far (the running max of the pair's earlier
         # stops). The running max is taken on dense stop ranks offset by pair,
@@ -136,12 +123,6 @@ class LinkTable:
         offset = (np.cumsum(new_pair) - 1) * stops.size
         reach = stops[np.maximum.accumulate(offset + rank) - offset]
         opens = new_pair | (start > np.roll(reach, 1))
-        # positions of the later events of a repeated triple (the sort is stable)
-        repeats = np.flatnonzero(~new_pair & (np.diff(start, prepend=0) == 0))
-        if repeats.size:
-            j = repeats[np.argmin(order[repeats])]
-            key = (developer_ids[dev[j]], project_ids[proj[j]], int(start[j]))
-            raise DomainError(f"duplicate event triple {key}")
         firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
         np.minimum.at(firsts[0], dev, start)
         np.minimum.at(firsts[1], proj, start)
@@ -162,12 +143,22 @@ def _is_month(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values and the code of each value among them."""
+    ids = tuple(sorted(set(values)))
+    code = dict(zip(ids, range(len(ids))))
+    return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
 @dataclass(frozen=True, eq=False)
 class MembershipEventLog:
-    """A membership-event log as columns, one entry per event; OPEN exit_month is no exit."""
+    """A membership-event log as read-only int64 columns, one entry per event: event i
+    links table.developer_ids[developer[i]] to table.project_ids[project[i]] from
+    entry_month[i] to exit_month[i], or has no exit if exit_month[i] is OPEN."""
 
-    developer_id: tuple[str, ...]
-    project_id: tuple[str, ...]
+    table: LinkTable
+    developer: np.ndarray
+    project: np.ndarray
     entry_month: np.ndarray
     exit_month: np.ndarray
 
@@ -181,30 +172,40 @@ class MembershipEventLog:
             for i, row in enumerate(zip(dev, proj, entry, exit_m)):
                 if not _is_month(row[2]) or not (row[3] is None or _is_month(row[3])):
                     raise DomainError(f"row {i} {row!r}: months must be integers")
-        return cls._from_columns(dev, proj, np.array(entry, np.int64),
-                                 np.array([OPEN if m is None else m for m in exit_m], np.int64))
-
-    @classmethod
-    def _from_columns(cls, developer_id: tuple[str, ...], project_id: tuple[str, ...],
-                      entry_month: np.ndarray, exit_month: np.ndarray,
-                      codes: tuple | None = None) -> MembershipEventLog:
-        """The log of four columns, with its link table built now, because building
-        it rejects a repeated triple; DomainError for that or an exit before its
-        entry. codes, if given, are the ids already coded for LinkTable._from_codes
-        as (developer_ids, developer, project_ids, project)."""
-        for column in (entry_month, exit_month):
-            column.setflags(write=False)
-        if (early := np.flatnonzero(exit_month < entry_month)).size:
-            i = early[0]
-            raise DomainError(f"exit month {exit_month[i]} precedes entry month {entry_month[i]}")
-        log = cls(developer_id, project_id, entry_month, exit_month)
-        # fills the cached property, so the table is built once either way
-        vars(log)["table"] = (LinkTable.from_log(log) if codes is None
-                              else LinkTable._from_codes(*codes, entry_month, exit_month))
+        log, repeats = cls._from_columns(
+            *_coded(dev), *_coded(proj), np.array(entry, np.int64),
+            np.array([OPEN if m is None else m for m in exit_m], np.int64))
+        if repeats.size:
+            r = repeats[0]
+            raise DomainError(f"duplicate event triple {(dev[r], proj[r], int(entry[r]))}")
         return log
 
+    @classmethod
+    def _from_columns(cls, developer_ids: tuple[str, ...], dev: np.ndarray,
+                      project_ids: tuple[str, ...], proj: np.ndarray, entry: np.ndarray,
+                      exit_m: np.ndarray) -> tuple[MembershipEventLog, np.ndarray]:
+        """The log of events coded into sorted ids (event i links developer_ids[dev[i]] to
+        project_ids[proj[i]] from entry[i] to exit_m[i]) less the later events of each repeated
+        triple, and their ascending indices; DomainError for an exit before its entry."""
+        if (early := np.flatnonzero(exit_m < entry)).size:
+            i = early[0]
+            raise DomainError(f"exit month {exit_m[i]} precedes entry month {entry[i]}")
+        # a stable sort puts the first event of each triple first; the later events repeat it
+        order = np.lexsort((entry, dev, proj))
+        repeat = np.zeros(order.size, bool)
+        repeat[1:] = (np.diff(np.stack([proj, dev, entry])[:, order]) == 0).all(axis=0)
+        first, keep = order[~repeat], np.ones(order.size, bool)
+        keep[order[repeat]] = False
+        table = LinkTable._from_sorted(developer_ids, dev[first], project_ids, proj[first],
+                                       entry[first], exit_m[first])
+        return cls(table, dev[keep], proj[keep], entry[keep], exit_m[keep]), np.flatnonzero(~keep)
+
+    def __post_init__(self):
+        for column in (self.developer, self.project, self.entry_month, self.exit_month):
+            column.setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.developer_id)
+        return self.entry_month.size
 
     @cached_property
     def month_range(self) -> tuple[int, int]:
@@ -213,10 +214,6 @@ class MembershipEventLog:
             raise DomainError("empty event log has no month range")
         last = np.where(self.exit_month == OPEN, self.entry_month, self.exit_month)
         return int(self.entry_month.min()), int(last.max())
-
-    @cached_property
-    def table(self) -> LinkTable:
-        return LinkTable.from_log(self)
 
 
 @dataclass(frozen=True)
@@ -249,11 +246,8 @@ def _read_text(source: str | Path | io.TextIOBase) -> str:
     return source.read()
 
 
-def parse_events(
-    source: str | Path | io.TextIOBase,
-    delimiter: str = ",",
-    epoch: str = DEFAULT_EPOCH,
-) -> ParseResult:
+def parse_events(source: str | Path | io.TextIOBase, delimiter: str = ",",
+                 epoch: str = DEFAULT_EPOCH) -> ParseResult:
     """Parse an event file into a validated log.
 
     Malformed rows (bad field count, unparseable months, exit before entry)
@@ -273,12 +267,11 @@ def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
 
     A file is regular when it is ASCII without CR or NUL, the delimiter is one
     ASCII character other than whitespace, and every line after an optional
-    header holds the same number of delimiters, 2 or 3, with ids
-    that are neither empty nor padded, month tokens that parse and no exit
-    before its entry. The row loop finds no row error in such a file, only
-    repeated triples, which are reported here as it reports them. Fields are
-    read as fixed-width byte strings, so a file whose widest field times its
-    line count exceeds its length is not regular either.
+    header holds the same number of delimiters, 2 or 3, with ids that are
+    neither empty nor padded, month tokens that parse and no exit before its
+    entry: the row loop finds no row error in such a file. Fields are read
+    as fixed-width byte strings, so a file whose widest field times its line
+    count exceeds its length is not regular either.
     """
     if not (len(delimiter) == 1 and delimiter.isascii() and not delimiter.isspace()
             and text.isascii() and "\r" not in text and "\0" not in text):
@@ -303,7 +296,7 @@ def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
     if n * int(np.diff(bounds, axis=1).max()) > body.size:
         return None
 
-    def distinct(c: int) -> tuple[list[str], np.ndarray]:
+    def distinct(c: int) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted distinct values of field c and the code of each line's value."""
         lo, hi = bounds[:, c] + 1, bounds[:, c + 1]
         chars = np.zeros((n, max(int((hi - lo).max()), 1)), np.uint8)
@@ -312,49 +305,29 @@ def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
         # return_index asks for a stable sort, which is faster on byte strings
         values, _, code = np.unique(chars.view(f"S{chars.shape[1]}")[:, 0],
                                     return_index=True, return_inverse=True)
-        return values.astype(str).tolist(), code.astype(np.int64, copy=False)
+        return tuple(values.astype(str).tolist()), code.astype(np.int64, copy=False)
 
     lo, hi = bounds[:, :2] + 1, bounds[:, 1:3]  # the two ids of each line
     if ((lo == hi) | _SPACE[body[lo]] | _SPACE[body[hi - 1]]).any():
         return None  # an empty id, or one that strip() would change
-    (developer_ids, dev), (project_ids, proj) = distinct(0), distinct(1)
     try:
         tokens, code = distinct(2)
         entry = np.array([month_index(t, epoch) for t in tokens], np.int64)[code]
-        tokens, code = distinct(3) if width == 4 else ([""], np.zeros(n, np.int64))
+        tokens, code = distinct(3) if width == 4 else (("",), np.zeros(n, np.int64))
         exit_m = np.array([month_index(t, epoch) if t.strip() else OPEN for t in tokens],
                           np.int64)[code]
     except ValueError:
         return None
     if (exit_m < entry).any():
         return None
-
-    # a stable sort puts the first line of each triple first; the later lines repeat it
-    order = np.lexsort((entry, dev, proj))
-    same = (np.diff(np.stack([proj, dev, entry])[:, order]) == 0).all(axis=0)
-    repeats = np.sort(order[1:][same])
-    duplicates = []
-    for r in repeats.tolist():
-        key = (developer_ids[dev[r]], project_ids[proj[r]], int(entry[r]))
-        line = text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]
-        duplicates.append(ParseIssue(r + 1 + bool(skip), f"duplicate triple {key}", line))
-    keep = np.ones(n, bool)
-    keep[repeats] = False
-    dev, proj, entry, exit_m = dev[keep], proj[keep], entry[keep], exit_m[keep]
-    developer_ids, project_ids = tuple(developer_ids), tuple(project_ids)
-    log = MembershipEventLog._from_columns(
-        tuple(map(developer_ids.__getitem__, dev.tolist())),
-        tuple(map(project_ids.__getitem__, proj.tolist())),
-        entry, exit_m, (developer_ids, dev, project_ids, proj))
-    return ParseResult(log=log, duplicates=tuple(duplicates))
+    return _result(*distinct(0), *distinct(1), entry, exit_m, lambda r: (
+        r + 1 + bool(skip), text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]))
 
 
 def _parse_rows(lines: list[str], delimiter: str, epoch: str) -> ParseResult:
     """The parse of any file, one line at a time."""
-    rows: list[tuple[str, str, int, int | None]] = []
+    rows: list[tuple[str, str, int, int, int, str]] = []  # the fields, line number and line
     errors: list[ParseIssue] = []
-    duplicates: list[ParseIssue] = []
-    seen: set[tuple[str, str, int]] = set()
     month = lru_cache(maxsize=None)(partial(month_index, epoch=epoch))  # bad tokens are not cached
 
     for line_no, raw in enumerate(lines, start=1):
@@ -378,30 +351,39 @@ def _parse_rows(lines: list[str], delimiter: str, epoch: str) -> ParseResult:
         except ValueError:
             errors.append(ParseIssue(line_no, f"unparseable entry month {fields[2]!r}", line))
             continue
-        exit_m: int | None = None
+        exit_m = OPEN
         if len(fields) == 4 and fields[3] != "":
             try:
                 exit_m = month(fields[3])
             except ValueError:
                 errors.append(ParseIssue(line_no, f"unparseable exit month {fields[3]!r}", line))
                 continue
-        if exit_m is not None and exit_m < entry:
-            errors.append(
-                ParseIssue(line_no, f"exit month {exit_m} precedes entry month {entry}", line)
-            )
+        if exit_m < entry:
+            errors.append(ParseIssue(line_no, f"exit month {exit_m} precedes entry month {entry}",
+                                     line))
             continue
-        key = (dev, proj, entry)
-        if key in seen:
-            duplicates.append(ParseIssue(line_no, f"duplicate triple {key}", line))
-            continue
-        seen.add(key)
-        rows.append((dev, proj, entry, exit_m))
+        rows.append((dev, proj, entry, exit_m, line_no, line))
 
-    return ParseResult(
-        log=MembershipEventLog.from_rows(rows),
-        errors=tuple(errors),
-        duplicates=tuple(duplicates),
-    )
+    dev, proj, entry, exit_m, line_nos, raws = tuple(zip(*rows)) or ((),) * 6
+    return _result(*_coded(dev), *_coded(proj), np.array(entry, np.int64),
+                   np.array(exit_m, np.int64), lambda r: (line_nos[r], raws[r]), errors)
+
+
+def _result(developer_ids: tuple[str, ...], dev: np.ndarray,
+            project_ids: tuple[str, ...], proj: np.ndarray,
+            entry: np.ndarray, exit_m: np.ndarray, line: Callable[[int], tuple[int, str]],
+            errors: Iterable[ParseIssue] = ()) -> ParseResult:
+    """The parse of coded columns whose event r was read from line(r), a
+    (line_no, raw) pair: the later events of a repeated triple are dropped
+    from the log and reported as duplicates in line order."""
+    log, repeats = MembershipEventLog._from_columns(developer_ids, dev, project_ids, proj,
+                                                    entry, exit_m)
+    duplicates = []
+    for r in repeats.tolist():
+        line_no, raw = line(r)
+        key = (developer_ids[dev[r]], project_ids[proj[r]], int(entry[r]))
+        duplicates.append(ParseIssue(line_no, f"duplicate triple {key}", raw))
+    return ParseResult(log=log, errors=tuple(errors), duplicates=tuple(duplicates))
 
 
 def read_gap_mask(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH) -> frozenset[int]:

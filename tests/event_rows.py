@@ -19,9 +19,11 @@ def make_log(rows):
 
 def log_rows(log):
     """The log's events as Rows in log order, with exit_month None for no exit."""
+    developer_ids, project_ids = log.table.developer_ids, log.table.project_ids
     return [
-        Row(d, p, e, None if x == OPEN else x)
+        Row(developer_ids[d], project_ids[p], e, None if x == OPEN else x)
         for d, p, e, x in zip(
-            log.developer_id, log.project_id, log.entry_month.tolist(), log.exit_month.tolist()
+            log.developer.tolist(), log.project.tolist(),
+            log.entry_month.tolist(), log.exit_month.tolist(),
         )
     ]

@@ -68,7 +68,8 @@ class TestAnalyze:
         _, _, rows = read_table(out / "summary.csv")
         assert [r[0] for r in rows] == ["24", "25", "26"]
 
-    @pytest.mark.parametrize("months", ["1_0:2_0", "\uff12\uff14:26", "24", "24:x", "26:24"])
+    @pytest.mark.parametrize("months", ["1_0:2_0", "\uff12\uff14:26", "24", "24:x", "26:24",
+                                        "100:200"])
     def test_month_range_outside_the_month_rule_exits_2(self, tmp_path, capsys, months):
         out = tmp_path / "an"
         assert main(["analyze", FIXTURE, "--months", months, "--output-dir", str(out)]) == 2
@@ -145,6 +146,20 @@ class TestFit:
         assert main(["fit", FIXTURE, "--month", "25", "--output-dir", str(out)]) == 0
         _, header, rows = read_table(out / "fit.csv")
         assert rows[0][header.index("month")] == "25"
+
+    def test_checkpoint_on_a_table_without_steps_exits_2(self, yule_sample_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "fit"
+        assert main(["fit", yule_sample_file, "--checkpoint", "7", "--output-dir", str(out)]) == 2
+        assert "--checkpoint applies to a trace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_with_month_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert main(["fit", FIXTURE, "--month", "30", "--checkpoint", "4",
+                     "--output-dir", str(out)]) == 2
+        assert "--checkpoint applies to a trace" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -246,6 +261,13 @@ _INTEGER_FLAGS = [
 ]
 
 
+_FLOAT_FLAGS = [
+    (["simulate", "--p0", "0.5", "--steps", "10", "--seed", "1"], ["--p0", "--alpha"]),
+    (["em", FIXTURE], ["--epsilon"]),
+    (["rateeq", "--p0", "0.5", "--steps", "10"], ["--p0"]),
+]
+
+
 class TestIntegerFlags:
     @pytest.mark.parametrize("base, flag", [(b, f) for b, flags in _INTEGER_FLAGS for f in flags])
     @pytest.mark.parametrize("value", ["1_0", "１０", "10.0", " 10", ""])
@@ -254,6 +276,14 @@ class TestIntegerFlags:
             main(base + [flag, value, "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid integer value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, flag", [(b, f) for b, flags in _FLOAT_FLAGS for f in flags])
+    @pytest.mark.parametrize("value", ["0.6_6", "\uff10.\uff15", " 0.5", "0.5 "])
+    def test_only_ascii_floats_accepted(self, base, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, value, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid float value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["5_2_2", "５２２"])
     def test_month_lookalikes_exit_2(self, value, tmp_path):

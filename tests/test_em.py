@@ -6,6 +6,7 @@ import pytest
 from forgesim import (
     AlignmentError,
     DegenerateDataError,
+    DomainError,
     EMConfig,
     EMResult,
     SizeDistribution,
@@ -86,8 +87,9 @@ class TestEmFit:
             em_fit(SizeDistribution.from_mapping({1: 100, 2: 50}))
 
     def test_config_validation(self):
-        with pytest.raises(Exception):
-            EMConfig(epsilon=0.0)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                EMConfig(epsilon=epsilon)
         with pytest.raises(Exception):
             EMConfig(max_iterations=0)
 

@@ -238,12 +238,31 @@ def test_from_rows_reports_the_first_repeat_in_row_order():
 
 
 def test_log_columns_are_read_only():
-    log = MembershipEventLog.from_rows([("d", "p", 1, None), ("e", "p", 2, 4)])
+    log = MembershipEventLog.from_rows([("e", "p", 1, None), ("d", "q", 2, 4)])
     assert log.exit_month.tolist() == [OPEN, 4]
-    for column in (log.entry_month, log.exit_month):
+    assert log.developer.tolist() == [1, 0] and log.project.tolist() == [0, 1]
+    for column in (log.developer, log.project, log.entry_month, log.exit_month):
         assert column.dtype == np.int64
         with pytest.raises(ValueError):
             column[0] = 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MembershipEventLog.from_rows([("d", "p", 1, None), ("e", "p", 2, 4)]),
+    lambda: parse_events(io.StringIO("d,p,1,\ne,p,2,4\nd,p,1,3\n")),  # in bulk
+    lambda: parse_events(io.StringIO("d,p,1,\n\ne,p,2,4\nd,p,1,3\n")),  # row by row
+])
+def test_a_log_is_built_with_one_sort(build, monkeypatch):
+    calls = []
+
+    def lexsort(keys):
+        calls.append(len(keys))
+        return np_lexsort(keys)
+
+    np_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    build()
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------------------
