@@ -9,6 +9,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -66,6 +67,19 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes only -N and -N.N for negative numbers, so it would read
+    a month range with a negative LO, such as -3:2, as an option. No option
+    starts with -N:, so such an argument is always a value."""
+
+    _MONTH_RANGE = re.compile(r"-[0-9]+:")
+
+    def _parse_optional(self, arg_string):
+        if self._MONTH_RANGE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _parse_month_range(text: str) -> tuple[int, int]:
@@ -361,7 +375,7 @@ def cmd_rateeq(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forgesim",
         description="Simulation and estimation toolkit for project-community growth dynamics.",
     )

@@ -76,6 +76,18 @@ class TestAnalyze:
         assert "bad month range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("months, last", [("-3:2", 2), ("-3:-1", -1)])
+    def test_negative_month_range_takes_a_space_like_an_equals_sign(self, tmp_path, months, last):
+        events = tmp_path / "events.csv"
+        events.write_text("d1,p1,-4,\nd2,p1,-3,1\nd3,p2,-1,\nd4,p3,2,\n")
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        for flags, out in ((["--months", months], spaced), ([f"--months={months}"], joined)):
+            assert main(["analyze", str(events), *flags, "--output-dir", str(out)]) == 0
+        _, _, rows = read_table(spaced / "summary.csv")
+        assert [int(r[0]) for r in rows] == list(range(-3, last + 1))
+        for name in ("summary.csv", "entry_exit.csv", "size_distribution.csv"):
+            assert table_bytes(spaced / name) == table_bytes(joined / name), name
+
     def test_month_range_takes_calendar_months(self, tmp_path):
         out = tmp_path / "an"
         assert main(["analyze", FIXTURE, "--months", "1972-01:1972-03",

@@ -1,9 +1,26 @@
 """Tests of the mean-field rate-equation solver and its closed-form limit."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forgesim import DomainError, iterate_master, pmf, steady_state, survival
+from master_oracle import oracle_iterate_master
+
+
+def _bits(states):
+    return [(s.N, s.counts.tobytes(), repr(s.overflow_count), repr(s.overflow_mass))
+            for s in states]
+
+
+@st.composite
+def _master_args(draw):
+    steps = draw(st.integers(1, 400))
+    return (draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)), steps,
+            draw(st.lists(st.integers(1, steps), max_size=6)), draw(st.integers(2, 64)))
 
 
 class TestIteration:
@@ -67,6 +84,72 @@ class TestIteration:
             iterate_master(0.5, 0)
         with pytest.raises(DomainError):
             iterate_master(0.5, 10, record_at=[20])
+
+
+class TestAgainstOracle:
+    """The two loops against the sliced loop they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("p0, steps, record_at, x_trunc", [
+        # record at 1, T-1, T, T+1 and the end, unsorted and with duplicates
+        (0.16, 3000, [3000, 1001, 1, 1000, 999, 1000, 1], 1000),
+        (0.9, 3000, [1, 49, 50, 51, 3000], 50),
+        (0.16, 3000, [1, 2, 3, 4, 3000], 3),
+        (2.0 / 3.0, 400, None, 2),
+        (0.5, 1, None, 2),
+        (0.5, 1, [1], 1000),
+        (0.3, 100, [100, 1, 50, 2], 1000),
+        (0.5, 5, [5, 4, 3, 2, 1], 3),
+    ])
+    def test_grid_matches_oracle(self, p0, steps, record_at, x_trunc):
+        args = (p0, steps, record_at, x_trunc)
+        assert _bits(iterate_master(*args)) == _bits(oracle_iterate_master(*args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_master_args())
+    def test_random_runs_match_oracle(self, args):
+        assert _bits(iterate_master(*args)) == _bits(oracle_iterate_master(*args))
+
+    # pin the float64 operation order without the oracle: counts bytes and
+    # both overflow floats at 1, T-1, T, T+1 and the end; the second run's
+    # large overflow bin tells c*m/N from m*(c/N)
+    @pytest.mark.parametrize("p0, steps, record_at, x_trunc, digest", [
+        (2.0 / 3.0, 100_000, [1, 999, 1000, 1001, 100_000], 1000,
+         "a57f101299a895eb83a61823cf7d5dbc2a785b93d395ddeba330e67b5cf9ccea"),
+        (0.16, 3000, [1, 2, 3, 4, 3000], 3,
+         "9bc48d3c49a907b56d29970f96ac664f5340c299f289899de39468abc9512c1f"),
+    ], ids=["x_trunc=1000", "x_trunc=3"])
+    def test_outputs_match_recorded_digests(self, p0, steps, record_at, x_trunc, digest):
+        sha = hashlib.sha256()
+        for s in iterate_master(p0, steps, record_at=record_at, x_trunc=x_trunc):
+            sha.update(repr(s.N).encode())
+            sha.update(np.asarray(s.counts, "<f8").tobytes())
+            sha.update(repr(s.overflow_count).encode())
+            sha.update(repr(s.overflow_mass).encode())
+        assert sha.hexdigest() == digest
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: iterate_master(0.5, 10, record_at=[2.5]),
+        lambda: iterate_master(0.5, 10, record_at=[True]),
+        lambda: iterate_master(0.5, 10, x_trunc=5.5),
+        lambda: iterate_master(0.5, 10, x_trunc=True),
+        lambda: iterate_master(0.5, 10.0),
+        lambda: iterate_master(0.5, True),
+        lambda: steady_state(0.5, 10.0),
+        lambda: steady_state(0.5, True),
+        lambda: steady_state(0.5, 10, x_max=5.5),
+    ], ids=["record_at=2.5", "record_at=True", "x_trunc=5.5", "x_trunc=True", "n_max_steps=10.0",
+            "n_max_steps=True", "N=10.0", "N=True", "x_max=5.5"])
+    def test_rejects_non_integers(self, call):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    def test_accepts_numpy_integers(self):
+        states = iterate_master(0.5, np.int64(10), record_at=[np.int32(5)], x_trunc=np.int64(4))
+        assert _bits(states) == _bits(iterate_master(0.5, 10, record_at=[5], x_trunc=4))
+        state = steady_state(0.5, np.int64(10), x_max=np.int32(20))
+        assert (type(state.N), state.N, state.counts.size) == (int, 10, 20)
 
 
 class TestSteadyState:
