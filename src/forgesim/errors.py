@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-input rule."""
+
+import numpy as np
 
 
 class ForgesimError(Exception):
@@ -26,3 +28,15 @@ class ConvergenceError(ForgesimError, RuntimeError):
     def __init__(self, message: str, best: object = None):
         super().__init__(message)
         self.best = best
+
+
+def is_integer(value) -> bool:
+    """True for Python and numpy integers; bools, floats and the rest are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int; anything is_integer rejects raises DomainError."""
+    if not is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)

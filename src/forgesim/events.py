@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_integer
 
 __all__ = [
     "MembershipEventLog",
@@ -139,10 +139,6 @@ class LinkTable:
         return np.flatnonzero((self.start <= month) & (self.stop > month))
 
 
-def _is_month(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted distinct values and the code of each value among them."""
     ids = tuple(sorted(set(values)))
@@ -170,7 +166,7 @@ class MembershipEventLog:
         dev, proj, entry, exit_m = tuple(zip(*rows)) or ((),) * 4
         if not set(map(type, entry)) <= {int} or not set(map(type, exit_m)) <= {int, type(None)}:
             for i, row in enumerate(zip(dev, proj, entry, exit_m)):
-                if not _is_month(row[2]) or not (row[3] is None or _is_month(row[3])):
+                if not is_integer(row[2]) or not (row[3] is None or is_integer(row[3])):
                     raise DomainError(f"row {i} {row!r}: months must be integers")
         log, repeats = cls._from_columns(
             *_coded(dev), *_coded(proj), np.array(entry, np.int64),

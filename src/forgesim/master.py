@@ -11,19 +11,19 @@ cut exact; projects promoted past the cut are tracked in an overflow bin
 whose developer mass keeps growing through joins, which preserves the exact
 bookkeeping identity sum_x x*n(x) + overflow_mass = N.
 
-The iteration runs as two loops over float64 arrays indexed by x, with a
-flow f(x) = (n(x) * x) * ((1-p0)/N) per step:
+The iteration is one loop over float64 arrays indexed by x, with a flow
+f(x) = (n(x) * x) * ((1-p0)/N) per step. At step N the support is
+x = 1..min(N, x_trunc) and every slot above it holds an exact 0.0, which the
+update leaves at 0.0 (and class N+1 gets (0 + f(N)) - 0 = f(N)), so the loop
+runs on the whole array from N = 1 on. Its views are bound once, each step is
+four in-place ufunc calls on them, and the overflow bin is updated in Python
+floats. When x_trunc exceeds n_max_steps the views cover only the first
+n_max_steps+1 slots, the most the support can reach.
 
-- growth, N < x_trunc: the support x = 1..N grows by one class per step,
-  so every array is sliced to it;
-- full support, N >= x_trunc: the slices no longer change, so the views are
-  bound once and each step is four in-place ufunc calls on them, with the
-  overflow bin updated in Python floats.
-
-Both loops compute n(x) <- (n(x) + f(x-1)) - f(x) for x >= 2 and
+The loop computes n(x) <- (n(x) + f(x-1)) - f(x) for x >= 2 and
 n(1) <- (n(1) - f(1)) + p0, in that order and with p0 kept out of the flow
-array, so every recorded state is bit for bit the one a single sliced loop
-gives (tests/master_oracle.py).
+array, so every recorded state is bit for bit the one a loop sliced to the
+support at every step gives (tests/master_oracle.py).
 
 Over 1e6 steps the relative mass leak
 |total_mass - N|/N is at most 1.5e-11 at p0 in {0.16, 0.5, 2/3, 0.9}, well
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import yule
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 __all__ = ["MasterState", "iterate_master", "steady_state"]
 
@@ -82,13 +82,6 @@ class MasterState:
         return float(self.counts.sum() + self.overflow_count)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; bools, floats and other non-integers raise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def iterate_master(
     p0: float,
     n_max_steps: int,
@@ -103,15 +96,15 @@ def iterate_master(
     """
     if not 0.0 < p0 < 1.0:
         raise DomainError(f"p0 must lie in (0,1), got {p0}")
-    n_max_steps = _integer("n_max_steps", n_max_steps)
-    T = _integer("x_trunc", x_trunc)
+    n_max_steps = require_integer("n_max_steps", n_max_steps)
+    T = require_integer("x_trunc", x_trunc)
     if n_max_steps < 1:
         raise DomainError("n_max_steps must be >= 1")
     if T < 2:
         raise DomainError("x_trunc must be >= 2")
 
     steps = record_at if record_at is not None else [n_max_steps]
-    wanted = {_integer("record_at", s) for s in steps}
+    wanted = {require_integer("record_at", s) for s in steps}
     if wanted and (min(wanted) < 1 or max(wanted) > n_max_steps):
         raise DomainError("record_at steps must lie within [1, n_max_steps]")
 
@@ -139,25 +132,19 @@ def iterate_master(
     if 1 in wanted:
         record(1)
 
-    # growth: at step N the support is x = 1..N, and class N+1 fills
-    for N in range(1, min(T, n_max_steps)):
-        np.multiply(n[: N + 1], xs[: N + 1], out=flow[: N + 1])
-        flow[: N + 1] *= c / N
-        n[2 : N + 2] += flow[1 : N + 1]
-        n[1 : N + 1] -= flow[1 : N + 1]
-        n[1] += p0
-        if N + 1 in wanted:
-            record(N + 1)
-
-    # full support x = 1..T: the views are fixed, so they are bound once
-    n_hi, f_lo, n_1, f_1 = n[2:], flow[1:T], n[1:], flow[1:]
+    # slots above the support hold exact zeros, which the update keeps, so
+    # the views are bound once; the support never passes K
+    K = min(T, n_max_steps)
+    n_k, xs_k, f_k = n[: K + 1], xs[: K + 1], flow[: K + 1]
+    n_hi, f_lo, n_1, f_1 = n_k[2:], f_k[1:K], n_k[1:], f_k[1:]
     mul, add, sub = np.multiply, np.add, np.subtract
-    for N in range(T, n_max_steps):
-        mul(n, xs, flow)
-        mul(flow, c / N, flow)
+    for N in range(1, n_max_steps):
+        mul(n_k, xs_k, f_k)
+        mul(f_k, c / N, f_k)
         # promotions out of the top class carry x_trunc+1 developers each;
         # joins landing on overflow projects add one developer at rate
-        # proportional to the mass already there
+        # proportional to the mass already there; flow[T] stays 0.0 until
+        # class T fills
         fT = flow.item(T)
         over_mass += fT * (T + 1) + c * over_mass / N
         over_count += fT
@@ -178,8 +165,8 @@ def steady_state(p0: float, N: int, x_max: int = DEFAULT_X_TRUNC) -> MasterState
     """
     if not 0.0 < p0 < 1.0:
         raise DomainError(f"p0 must lie in (0,1), got {p0}")
-    N = _integer("N", N)
-    x_max = _integer("x_max", x_max)
+    N = require_integer("N", N)
+    x_max = require_integer("x_max", x_max)
     if N < 1:
         raise DomainError("N must be >= 1")
     rho = yule.rho_from_p0(p0)

@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import SizeDistribution
-from .errors import DomainError
+from .errors import DomainError, require_integer
 
 __all__ = [
     "SimParams",
@@ -71,19 +71,16 @@ class SimParams:
         if not 0.0 < self.p0 < 1.0:
             raise DomainError(f"p0 must lie in (0,1), got {self.p0}")
         cps = (self.n_steps,) if self.checkpoints is None else self.checkpoints
-        for name, value in (("n_steps", self.n_steps), ("seed", self.seed),
-                            *(("checkpoint", c) for c in cps)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps))
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        cps = {require_integer("checkpoint", c) for c in cps}
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not np.isfinite(self.alpha):
             raise DomainError("alpha must be finite")
-        cps = tuple(sorted({int(c) for c in cps}))
+        cps = tuple(sorted(cps))
         if cps and (cps[0] < 1 or cps[-1] > self.n_steps):
             raise DomainError("checkpoints must lie within [1, n_steps]")
         object.__setattr__(self, "checkpoints", cps)

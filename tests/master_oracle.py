@@ -2,7 +2,7 @@
 
 `oracle_iterate_master` slices every array to the current support
 L = min(N, x_trunc) at each step. It does the same float64 operations in the
-same order as the library's two loops, so the two must agree bit for bit.
+same order as the library's loop, so the two must agree bit for bit.
 """
 
 import numpy as np

@@ -87,7 +87,7 @@ class TestIteration:
 
 
 class TestAgainstOracle:
-    """The two loops against the sliced loop they replaced, bit for bit."""
+    """The loop against the sliced loop it replaced, bit for bit."""
 
     @pytest.mark.parametrize("p0, steps, record_at, x_trunc", [
         # record at 1, T-1, T, T+1 and the end, unsorted and with duplicates
@@ -111,13 +111,16 @@ class TestAgainstOracle:
 
     # pin the float64 operation order without the oracle: counts bytes and
     # both overflow floats at 1, T-1, T, T+1 and the end; the second run's
-    # large overflow bin tells c*m/N from m*(c/N)
+    # large overflow bin tells c*m/N from m*(c/N), and the third run's
+    # support never reaches the cut
     @pytest.mark.parametrize("p0, steps, record_at, x_trunc, digest", [
         (2.0 / 3.0, 100_000, [1, 999, 1000, 1001, 100_000], 1000,
          "a57f101299a895eb83a61823cf7d5dbc2a785b93d395ddeba330e67b5cf9ccea"),
         (0.16, 3000, [1, 2, 3, 4, 3000], 3,
          "9bc48d3c49a907b56d29970f96ac664f5340c299f289899de39468abc9512c1f"),
-    ], ids=["x_trunc=1000", "x_trunc=3"])
+        (0.3, 100, [1, 2, 50, 99, 100], 1000,
+         "b70f93a82dab7e15a27fb3b83809fd7fcf37fad6e3569f8b42ab3a6b708a88a4"),
+    ], ids=["x_trunc=1000", "x_trunc=3", "x_trunc>steps"])
     def test_outputs_match_recorded_digests(self, p0, steps, record_at, x_trunc, digest):
         sha = hashlib.sha256()
         for s in iterate_master(p0, steps, record_at=record_at, x_trunc=x_trunc):
