@@ -105,6 +105,15 @@ def _load_events(path: str, manifest: RunManifest):
     return result.log
 
 
+def _load_mask(args, manifest: RunManifest) -> frozenset[int]:
+    """The months of --gap-mask, or none without it."""
+    if not args.gap_mask:
+        return frozenset()
+    mask = read_gap_mask(args.gap_mask)
+    manifest.add_input(args.gap_mask)
+    return mask
+
+
 def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, str]:
     """Distribution from a size,count table, a trace file, or events+month."""
     path = args.input
@@ -194,10 +203,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     manifest = RunManifest(command="analyze", version=__version__)
     log = _load_events(args.events, manifest)
-    mask = frozenset()
-    if args.gap_mask:
-        mask = read_gap_mask(args.gap_mask)
-        manifest.add_input(args.gap_mask)
+    mask = _load_mask(args, manifest)
     first, last = log.month_range
     lo, hi = _parse_month_range(args.months) if args.months else (first, last)
     # the first month the snapshot loop below would reject, found before any output is written
@@ -207,7 +213,6 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"bad month range {args.months!r}: month {month} outside observed "
                          f"range [{first}, {last}]")
     manifest.params.update(events=args.events, months=f"{lo}:{hi}")
-    out = _outdir(args)
 
     summaries = []
     summary_rows, size_rows, degree_rows = [], [], []
@@ -223,7 +228,10 @@ def cmd_analyze(args) -> int:
         size_rows.extend((m, int(x), c) for x, c in zip(sdist.sizes, sdist.counts))
         ddist = snapshots.developer_degree_distribution(snap)
         degree_rows.extend((m, int(k), c) for k, c in zip(ddist.degrees, ddist.counts))
+    counts = snapshots.entry_exit_counts(log, (lo, hi))
+    rates_p, rates_d = estimators.relative_entry_rates(summaries, mask)
 
+    out = _outdir(args)
     write_table(
         out / "summary.csv",
         ["month", "n_developers", "n_projects", "n_links", "masked"],
@@ -231,16 +239,12 @@ def cmd_analyze(args) -> int:
     )
     write_table(out / "size_distribution.csv", ["month", "size", "count"], size_rows)
     write_table(out / "degree_distribution.csv", ["month", "degree", "count"], degree_rows)
-
-    counts = snapshots.entry_exit_counts(log, (lo, hi))
     write_table(
         out / "entry_exit.csv",
         ["month", "new_projects", "removed_projects", "new_developers", "removed_developers"],
         zip(counts.months, counts.new_projects, counts.removed_projects,
             counts.new_developers, counts.removed_developers),
     )
-
-    rates_p, rates_d = estimators.relative_entry_rates(summaries, mask)
     by_month_p = dict(zip(rates_p.months.tolist(), rates_p.values.tolist()))
     by_month_d = dict(zip(rates_d.months.tolist(), rates_d.values.tolist()))
     shared = sorted(set(by_month_p) & set(by_month_d))
@@ -324,10 +328,7 @@ def cmd_em(args) -> int:
 def cmd_p0(args) -> int:
     manifest = RunManifest(command="p0", version=__version__)
     log = _load_events(args.events, manifest)
-    mask = frozenset()
-    if args.gap_mask:
-        mask = read_gap_mask(args.gap_mask)
-        manifest.add_input(args.gap_mask)
+    mask = _load_mask(args, manifest)
     manifest.params.update(events=args.events, variant=args.variant)
     lo, hi = log.month_range
     if args.variant == "collaborative":

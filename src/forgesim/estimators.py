@@ -310,6 +310,17 @@ class ProjectLabel:
     censored: bool
 
 
+def _collaborative(log: MembershipEventLog, observation_end: int) -> np.ndarray:
+    """Per project code, whether the project reaches size >= 2 by observation_end."""
+    n = len(log.project_ids)
+    ever = np.zeros(n, dtype=bool)
+    # sizes change only at start and stop months, so only those are checked
+    changes = np.unique(np.concatenate([log.start, log.stop]))
+    for month in changes[changes <= observation_end]:
+        ever |= np.bincount(log.project[log.active(month)], minlength=n) >= 2
+    return ever
+
+
 def classify_collaborative(
     log: MembershipEventLog,
     observation_end: int,
@@ -325,15 +336,9 @@ def classify_collaborative(
     collaborative ones, never the reverse. Labels cover the projects born by
     observation_end, in project-id order.
     """
-    table = log.table
-    n = len(table.project_ids)
-    ever = np.zeros(n, dtype=bool)
-    # sizes change only at start and stop months, so only those are checked
-    changes = np.unique(np.concatenate([table.start, table.stop]))
-    for month in changes[changes <= observation_end]:
-        ever |= np.bincount(table.project[table.active(month)], minlength=n) >= 2
     horizon = censor_horizon_months if censor_horizon_months is not None else 0.0
-    collaborative, first_months = ever.tolist(), table.project_first.tolist()
+    collaborative = _collaborative(log, observation_end).tolist()
+    first_months = log.project_first.tolist()
     return {
         project: ProjectLabel(
             project_id=project,
@@ -341,7 +346,7 @@ def classify_collaborative(
             first_month=first,
             censored=first > observation_end - horizon,
         )
-        for code, (project, first) in enumerate(zip(table.project_ids, first_months))
+        for code, (project, first) in enumerate(zip(log.project_ids, first_months))
         if first <= observation_end
     }
 
@@ -358,25 +363,21 @@ def collaborative_entry_counts(
     project labelled non-collaborative (exclusion at entry month; the data
     does not say whether the original analysis excluded retroactively).
     """
-    table = log.table
-    labels = classify_collaborative(log, observation_end)
+    collaborative = _collaborative(log, observation_end)
     lo, hi = months if months is not None else log.month_range
     hi = min(hi, observation_end)
-    # labels hold the projects born by observation_end in project-code order;
-    # label[code] is 1 (collaborative), 0 (not) or -1 (born later)
-    label = np.full(len(table.project_ids), -1)
-    label[table.project_first <= observation_end] = [lab.collaborative for lab in labels.values()]
     # a founder of a non-collaborative project is excluded when that founding
-    # row is also the developer's first link
-    founds = (table.start == table.project_first[table.project]) & (
-        table.start == table.developer_first[table.developer]
+    # row is also the developer's first link; a project born after
+    # observation_end is not collaborative, but its founders enter after hi
+    founds = (log.start == log.project_first[log.project]) & (
+        log.start == log.developer_first[log.developer]
     )
-    excluded = np.zeros(len(table.developer_ids), dtype=bool)
-    excluded[table.developer[founds & (label[table.project] == 0)]] = True
+    excluded = np.zeros(len(log.developer_ids), dtype=bool)
+    excluded[log.developer[founds & ~collaborative[log.project]]] = True
     return (
         np.arange(lo, hi + 1),
-        _tally(table.project_first[label == 1], lo, hi),
-        _tally(table.developer_first[~excluded], lo, hi),
+        _tally(log.project_first[collaborative], lo, hi),
+        _tally(log.developer_first[~excluded], lo, hi),
     )
 
 
@@ -443,12 +444,11 @@ def interarrival_fit(
     days_per_month. Projects that never gain a second developer are counted
     as censored and excluded from the fit.
     """
-    t = log.table
     # a pair's first join is its first row (rows are sorted by project,
     # developer, start); a rejoining founder is not a second developer
-    first = (np.diff(t.project, prepend=-1) != 0) | (np.diff(t.developer, prepend=-1) != 0)
-    order = np.lexsort((t.start[first], t.project[first]))
-    project, joined = t.project[first][order], t.start[first][order]
+    first = (np.diff(log.project, prepend=-1) != 0) | (np.diff(log.developer, prepend=-1) != 0)
+    order = np.lexsort((log.start[first], log.project[first]))
+    project, joined = log.project[first][order], log.start[first][order]
     heads = np.flatnonzero(np.diff(project, prepend=-1))
     n_joins = np.diff(np.append(heads, project.size))
     in_cohort = np.isin(joined[heads], list(set(cohort_months)))

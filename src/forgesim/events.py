@@ -20,7 +20,7 @@ import io
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .errors import DomainError, is_integer
 
 __all__ = [
     "MembershipEventLog",
-    "LinkTable",
     "OPEN",
     "ParseIssue",
     "ParseResult",
@@ -42,7 +41,7 @@ __all__ = [
 
 DEFAULT_EPOCH = "1970-01"
 
-OPEN = np.iinfo(np.int64).max  # LinkTable stop month of a link with no exit
+OPEN = np.iinfo(np.int64).max  # stop month of a log row with no exit
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _CALENDAR_RE = re.compile(r"([0-9]{4})-(0[1-9]|1[0-2])")
@@ -68,7 +67,7 @@ def month_index(token: str, epoch: str = DEFAULT_EPOCH) -> int:
 
     Raises ValueError for anything else, such as 2020-13, 1_2 or non-ASCII
     digits, and for an integer index whose magnitude reaches 2**62 (months
-    are int64 in the LinkTable, where OPEN means no exit).
+    are int64 in the log, where OPEN means no exit).
     """
     token = token.strip()
     m = _CALENDAR_RE.fullmatch(token)
@@ -85,9 +84,16 @@ def month_label(index: int, epoch: str = DEFAULT_EPOCH) -> str:
     return f"{total // 12:04d}-{total % 12 + 1:02d}"
 
 
+def _coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct values and the code of each value among them."""
+    ids = tuple(sorted(set(values)))
+    code = dict(zip(ids, range(len(ids))))
+    return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
 @dataclass(frozen=True, eq=False)
-class LinkTable:
-    """The membership log as int-coded, pair-merged intervals.
+class MembershipEventLog:
+    """A membership-event log as int-coded, pair-merged intervals.
 
     Row i links developer_ids[developer[i]] to project_ids[project[i]] in the
     months [start[i], stop[i]); stop is OPEN for a link with no exit. Records
@@ -95,7 +101,7 @@ class LinkTable:
     active in a month at most once. Zero-length rows (start == stop) are kept:
     they set first months but are never active. Ids are sorted, rows are
     ordered by (project, developer, start), and *_first hold each code's
-    first month.
+    first month. len() is the number of events, before merging.
     """
 
     developer_ids: tuple[str, ...]
@@ -106,57 +112,8 @@ class LinkTable:
     stop: np.ndarray
     developer_first: np.ndarray
     project_first: np.ndarray
-
-    @classmethod
-    def _from_sorted(cls, developer_ids: tuple[str, ...], dev: np.ndarray,
-                     project_ids: tuple[str, ...], proj: np.ndarray,
-                     start: np.ndarray, stop: np.ndarray) -> LinkTable:
-        """The table of events coded into sorted ids, ordered by (project,
-        developer, start) with no two sharing all three: event i links
-        developer_ids[dev[i]] to project_ids[proj[i]] from start[i] to stop[i]."""
-        # A row opens a new merged interval unless it starts no later than the
-        # reach of its pair so far (the running max of the pair's earlier
-        # stops). The running max is taken on dense stop ranks offset by pair,
-        # so it never crosses from one pair into the next.
-        new_pair = (np.diff(dev, prepend=-1) != 0) | (np.diff(proj, prepend=-1) != 0)
-        stops, rank = np.unique(stop, return_inverse=True)
-        offset = (np.cumsum(new_pair) - 1) * stops.size
-        reach = stops[np.maximum.accumulate(offset + rank) - offset]
-        opens = new_pair | (start > np.roll(reach, 1))
-        firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
-        np.minimum.at(firsts[0], dev, start)
-        np.minimum.at(firsts[1], proj, start)
-        # an interval stops at the reach of its last row, the row before the next opening
-        return cls(developer_ids, project_ids, dev[opens], proj[opens], start[opens],
-                   reach[np.roll(opens, -1)], *firsts)
-
-    def __post_init__(self):
-        for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
-            getattr(self, name).setflags(write=False)
-
-    def active(self, month: int) -> np.ndarray:
-        """Indices of the rows active in the given month."""
-        return np.flatnonzero((self.start <= month) & (self.stop > month))
-
-
-def _coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct values and the code of each value among them."""
-    ids = tuple(sorted(set(values)))
-    code = dict(zip(ids, range(len(ids))))
-    return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
-
-
-@dataclass(frozen=True, eq=False)
-class MembershipEventLog:
-    """A membership-event log as read-only int64 columns, one entry per event: event i
-    links table.developer_ids[developer[i]] to table.project_ids[project[i]] from
-    entry_month[i] to exit_month[i], or has no exit if exit_month[i] is OPEN."""
-
-    table: LinkTable
-    developer: np.ndarray
-    project: np.ndarray
-    entry_month: np.ndarray
-    exit_month: np.ndarray
+    n_events: int
+    span: tuple[int, int] | None  # the month range; None for an empty log
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, int, int | None]]) -> MembershipEventLog:
@@ -190,26 +147,47 @@ class MembershipEventLog:
         order = np.lexsort((entry, dev, proj))
         repeat = np.zeros(order.size, bool)
         repeat[1:] = (np.diff(np.stack([proj, dev, entry])[:, order]) == 0).all(axis=0)
-        first, keep = order[~repeat], np.ones(order.size, bool)
-        keep[order[repeat]] = False
-        table = LinkTable._from_sorted(developer_ids, dev[first], project_ids, proj[first],
-                                       entry[first], exit_m[first])
-        return cls(table, dev[keep], proj[keep], entry[keep], exit_m[keep]), np.flatnonzero(~keep)
+        first = order[~repeat]
+        dev, proj, start, stop = dev[first], proj[first], entry[first], exit_m[first]
+        # the month range is taken before merging, which can hide an exit:
+        # [0, 10) and [5, OPEN) merge into [0, OPEN), and the last month is 10
+        span = None
+        if first.size:
+            span = int(start.min()), int(np.where(stop == OPEN, start, stop).max())
+        # A row opens a new merged interval unless it starts no later than the
+        # reach of its pair so far (the running max of the pair's earlier
+        # stops). The running max is taken on dense stop ranks offset by pair,
+        # so it never crosses from one pair into the next.
+        new_pair = (np.diff(dev, prepend=-1) != 0) | (np.diff(proj, prepend=-1) != 0)
+        stops, rank = np.unique(stop, return_inverse=True)
+        offset = (np.cumsum(new_pair) - 1) * stops.size
+        reach = stops[np.maximum.accumulate(offset + rank) - offset]
+        opens = new_pair | (start > np.roll(reach, 1))
+        firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
+        np.minimum.at(firsts[0], dev, start)
+        np.minimum.at(firsts[1], proj, start)
+        # an interval stops at the reach of its last row, the row before the next opening
+        log = cls(developer_ids, project_ids, dev[opens], proj[opens], start[opens],
+                  reach[np.roll(opens, -1)], *firsts, first.size, span)
+        return log, np.sort(order[repeat])
 
     def __post_init__(self):
-        for column in (self.developer, self.project, self.entry_month, self.exit_month):
-            column.setflags(write=False)
+        for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
+            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
-        return self.entry_month.size
+        return self.n_events
 
-    @cached_property
+    @property
     def month_range(self) -> tuple[int, int]:
         """(first, last) month at which anything is observed to happen."""
-        if not len(self):
+        if self.span is None:
             raise DomainError("empty event log has no month range")
-        last = np.where(self.exit_month == OPEN, self.entry_month, self.exit_month)
-        return int(self.entry_month.min()), int(last.max())
+        return self.span
+
+    def active(self, month: int) -> np.ndarray:
+        """Indices of the rows active in the given month."""
+        return np.flatnonzero((self.start <= month) & (self.stop > month))
 
 
 @dataclass(frozen=True)

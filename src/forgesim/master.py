@@ -169,6 +169,8 @@ def steady_state(p0: float, N: int, x_max: int = DEFAULT_X_TRUNC) -> MasterState
     x_max = require_integer("x_max", x_max)
     if N < 1:
         raise DomainError("N must be >= 1")
+    if x_max < 1:
+        raise DomainError("x_max must be >= 1")
     rho = yule.rho_from_p0(p0)
     xs = np.arange(1, x_max + 1)
     counts = N * p0 * yule.pmf(xs, rho)

@@ -2,7 +2,7 @@
 
 A link (developer, project) is active in month t iff entry_month <= t and
 (no exit or exit_month > t), counted once per pair. A snapshot is a view of
-the log's LinkTable. Everything here is a pure function of the immutable
+the log's merged rows. Everything here is a pure function of the immutable
 event log, so per-month computations are safe to evaluate concurrently.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import DegreeDistribution, SizeDistribution
 from .errors import DomainError
-from .events import LinkTable, MembershipEventLog
+from .events import MembershipEventLog
 
 __all__ = [
     "Snapshot",
@@ -35,25 +35,25 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     month: int
-    table: LinkTable
-    rows: np.ndarray  # indices of the table rows active in this month
+    log: MembershipEventLog
+    rows: np.ndarray  # indices of the log rows active in this month
 
     @cached_property
     def links(self) -> frozenset[tuple[str, str]]:
         """Active (developer_id, project_id) pairs."""
-        t = self.table
+        log = self.log
         return frozenset(
-            (t.developer_ids[d], t.project_ids[p])
-            for d, p in zip(t.developer[self.rows].tolist(), t.project[self.rows].tolist())
+            (log.developer_ids[d], log.project_ids[p])
+            for d, p in zip(log.developer[self.rows].tolist(), log.project[self.rows].tolist())
         )
 
     def sizes(self) -> np.ndarray:
         """Active developers per project code."""
-        return np.bincount(self.table.project[self.rows], minlength=len(self.table.project_ids))
+        return np.bincount(self.log.project[self.rows], minlength=len(self.log.project_ids))
 
     def degrees(self) -> np.ndarray:
         """Active projects per developer code."""
-        return np.bincount(self.table.developer[self.rows], minlength=len(self.table.developer_ids))
+        return np.bincount(self.log.developer[self.rows], minlength=len(self.log.developer_ids))
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def snapshot_at(log: MembershipEventLog, month: int) -> Snapshot:
     lo, hi = log.month_range
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
-    table = log.table
-    return Snapshot(month=month, table=table, rows=table.active(month))
+    return Snapshot(month=month, log=log, rows=log.active(month))
 
 
 def summarize(snapshot: Snapshot) -> SnapshotSummary:
@@ -158,15 +157,15 @@ def entry_exit_counts(
     if hi < lo:
         raise DomainError("empty month range")
 
-    t = log.table
     # an entity's last stop is OPEN, which no range holds, while a link is open
-    last = [np.full(len(ids), np.iinfo(np.int64).min) for ids in (t.project_ids, t.developer_ids)]
-    np.maximum.at(last[0], t.project, t.stop)
-    np.maximum.at(last[1], t.developer, t.stop)
+    last = [np.full(len(ids), np.iinfo(np.int64).min)
+            for ids in (log.project_ids, log.developer_ids)]
+    np.maximum.at(last[0], log.project, log.stop)
+    np.maximum.at(last[1], log.developer, log.stop)
     return EntryExitCounts(
         months=np.arange(lo, hi + 1),
-        new_projects=_tally(t.project_first, lo, hi),
+        new_projects=_tally(log.project_first, lo, hi),
         removed_projects=_tally(last[0], lo, hi),
-        new_developers=_tally(t.developer_first, lo, hi),
+        new_developers=_tally(log.developer_first, lo, hi),
         removed_developers=_tally(last[1], lo, hi),
     )

@@ -1,13 +1,14 @@
-"""Event rows for tests: logs built from row tuples, and rows read back out.
+"""Event rows for tests: logs built from row tuples, and logs compared row by row.
 
-`Row` carries the field names of the per-event objects the log once held, so
-set-based oracles written against those objects read a columnar log unchanged.
+`Row` names the fields of one event, so set-based oracles read the rows a
+log is built from by name.
 """
 
 from collections import namedtuple
 
+import numpy as np
+
 from forgesim import MembershipEventLog
-from forgesim.events import OPEN
 
 Row = namedtuple("Row", "developer_id project_id entry_month exit_month", defaults=(None,))
 
@@ -17,13 +18,10 @@ def make_log(rows):
     return MembershipEventLog.from_rows([Row(*r) for r in rows])
 
 
-def log_rows(log):
-    """The log's events as Rows in log order, with exit_month None for no exit."""
-    developer_ids, project_ids = log.table.developer_ids, log.table.project_ids
-    return [
-        Row(developer_ids[d], project_ids[p], e, None if x == OPEN else x)
-        for d, p, e, x in zip(
-            log.developer.tolist(), log.project.tolist(),
-            log.entry_month.tolist(), log.exit_month.tolist(),
-        )
-    ]
+def assert_same_rows(got, want):
+    """got has want's ids and merged-row arrays, value for value and dtype for dtype."""
+    assert got.developer_ids == want.developer_ids
+    assert got.project_ids == want.project_ids
+    for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) and a.dtype == b.dtype, name

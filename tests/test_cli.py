@@ -119,6 +119,14 @@ class TestAnalyze:
         empty.write_text("developer_id,project_id,entry_month,exit_month\n")
         assert main(["analyze", str(empty), "--output-dir", str(tmp_path / "o")]) == 2
 
+    def test_one_month_log_exits_2_without_output_dir(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text("d1,p1,5,\nd2,p1,5,\n")
+        out = tmp_path / "an"
+        assert main(["analyze", str(events), "--output-dir", str(out)]) == 2
+        assert "no consecutive unmasked month pairs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def yule_sample_file(tmp_path_factory):

@@ -2,29 +2,30 @@
 
 `parse_events` once built one validated `MembershipEvent` per row and kept
 them in the log; the log rescanned them for repeated triples and walked them
-again to build its link table. That code is kept below as the oracle. It
-shares `month_index` with the column parser, so both apply the same month
-token rule; everything after the token is compared: row errors and
-duplicates (line number, message and raw line), the rows, the month range,
-every link-table array, and the errors `from_rows` raises. `parse_events`
-reads a regular file on whole columns and any other row by row; regular
-files, which the general file strategy seldom yields, get their own strategy
-and one-defect variants, so both paths are held to the oracle.
+again to merge each pair's records into rows. That code is kept below as the
+oracle. It shares `month_index` with the column parser, so both apply the
+same month token rule; everything after the token is compared: row errors
+and duplicates (line number, message and raw line), the event count, the
+month range, every array of merged rows, and the errors `from_rows` raises.
+`parse_events` reads a regular file on whole columns and any other row by
+row; regular files, which the general file strategy seldom yields, get their
+own strategy and one-defect variants, so both paths are held to the oracle.
 """
 
 import io
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import Row, log_rows
+from event_rows import assert_same_rows
 from forgesim import (
     DomainError, MembershipEventLog, ParseIssue, events, month_index, month_label, parse_events,
 )
-from forgesim.events import DEFAULT_EPOCH, OPEN, LinkTable
+from forgesim.events import DEFAULT_EPOCH, OPEN
 
 HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 
@@ -115,7 +116,8 @@ def oracle_month_range(events):
     return lo, hi
 
 
-def oracle_table(events):
+def oracle_rows(events):
+    """The ids and merged-row arrays of events."""
     def coded(values):
         ids = tuple(sorted(set(values)))
         code = dict(zip(ids, range(len(ids))))
@@ -136,20 +138,14 @@ def oracle_table(events):
     firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
     np.minimum.at(firsts[0], dev, start)
     np.minimum.at(firsts[1], proj, start)
-    return LinkTable(developer_ids, project_ids, dev[opens], proj[opens], start[opens],
-                     reach[np.roll(opens, -1)], *firsts)
+    return SimpleNamespace(
+        developer_ids=developer_ids, project_ids=project_ids, developer=dev[opens],
+        project=proj[opens], start=start[opens], stop=reach[np.roll(opens, -1)],
+        developer_first=firsts[0], project_first=firsts[1])
 
 
 # ---------------------------------------------------------------------------
 # comparison
-
-
-def assert_same_table(got, want):
-    assert got.developer_ids == want.developer_ids
-    assert got.project_ids == want.project_ids
-    for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
 
 def assert_parses_like_the_oracle(text, epoch=DEFAULT_EPOCH, source=None):
@@ -158,14 +154,13 @@ def assert_parses_like_the_oracle(text, epoch=DEFAULT_EPOCH, source=None):
     events, errors, duplicates = oracle_parse(text, epoch=epoch)
     assert list(result.errors) == errors
     assert list(result.duplicates) == duplicates
-    assert log_rows(result.log) == [Row(*vars(ev).values()) for ev in events]
     assert len(result.log) == len(events)
     if events:
         assert result.log.month_range == oracle_month_range(events)
     else:
         with pytest.raises(DomainError):
             result.log.month_range
-    assert_same_table(result.log.table, oracle_table(events))
+    assert_same_rows(result.log, oracle_rows(events))
 
 
 developer = st.sampled_from(["d0", "d1", "d2", " d1 ", ""])
@@ -227,8 +222,10 @@ def test_from_rows_checks_like_the_object_log(rows):
         assert str(got.value) == str(exc)
         return
     log = MembershipEventLog.from_rows(rows)
-    assert log_rows(log) == [Row(*r) for r in rows]
-    assert_same_table(log.table, oracle_table(events))
+    assert len(log) == len(events)
+    if events:
+        assert log.month_range == oracle_month_range(events)
+    assert_same_rows(log, oracle_rows(events))
 
 
 def test_from_rows_reports_the_first_repeat_in_row_order():
@@ -237,14 +234,16 @@ def test_from_rows_reports_the_first_repeat_in_row_order():
         MembershipEventLog.from_rows(rows)
 
 
-def test_log_columns_are_read_only():
+def test_log_arrays_are_read_only():
     log = MembershipEventLog.from_rows([("e", "p", 1, None), ("d", "q", 2, 4)])
-    assert log.exit_month.tolist() == [OPEN, 4]
     assert log.developer.tolist() == [1, 0] and log.project.tolist() == [0, 1]
-    for column in (log.developer, log.project, log.entry_month, log.exit_month):
-        assert column.dtype == np.int64
+    assert log.start.tolist() == [1, 2] and log.stop.tolist() == [OPEN, 4]
+    assert log.developer_first.tolist() == [2, 1] and log.project_first.tolist() == [1, 2]
+    for name in ("developer", "project", "start", "stop", "developer_first", "project_first"):
+        array = getattr(log, name)
+        assert array.dtype == np.int64, name
         with pytest.raises(ValueError):
-            column[0] = 0
+            array[0] = 0
 
 
 @pytest.mark.parametrize("build", [

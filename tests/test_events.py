@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import log_rows, make_log
+from event_rows import assert_same_rows, make_log
 from forgesim import (
     DomainError,
     MembershipEventLog,
@@ -16,6 +16,7 @@ from forgesim import (
     parse_events,
     read_gap_mask,
 )
+from forgesim.events import OPEN
 
 ids = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=","),
@@ -42,11 +43,9 @@ def test_write_parse_round_trip(rows):
     ) + "\n"
     result = parse_events(io.StringIO(text))
     assert result.ok
-    parsed = {
-        (ev.developer_id, ev.project_id, ev.entry_month, ev.exit_month)
-        for ev in log_rows(result.log)
-    }
-    assert parsed == set(rows)
+    log = make_log(rows)
+    assert len(result.log) == len(log) and result.log.month_range == log.month_range
+    assert_same_rows(result.log, log)
 # int() reads the first two as 12, and a \d regex took the third for 2020-01
 
 # int() reads the first two as 12, and a \\d regex took the third for 2020-01
@@ -62,14 +61,13 @@ class TestParse:
         result = parse("d1,p1,24,\n")
         assert result.ok
         assert len(result.log) == 1
-        ev = log_rows(result.log)[0]
-        assert (ev.developer_id, ev.project_id, ev.entry_month, ev.exit_month) == (
-            "d1", "p1", 24, None,
-        )
+        log = result.log
+        assert (log.developer_ids, log.project_ids) == (("d1",), ("p1",))
+        assert (log.start.tolist(), log.stop.tolist()) == ([24], [OPEN])
 
     def test_three_field_row(self):
         result = parse("d1,p1,24\n")
-        assert result.ok and log_rows(result.log)[0].exit_month is None
+        assert result.ok and result.log.stop.tolist() == [OPEN]
 
     def test_exit_before_entry_is_row_error(self):
         result = parse("d1,p1,24,20\n")
@@ -127,8 +125,7 @@ class TestParse:
 
     def test_calendar_months_with_epoch(self):
         result = parse("d1,p1,2003-01,2003-04\n", epoch="2003-01")
-        ev = log_rows(result.log)[0]
-        assert (ev.entry_month, ev.exit_month) == (0, 3)
+        assert (result.log.start.tolist(), result.log.stop.tolist()) == ([0], [3])
 
     def test_bad_field_count(self):
         result = parse("d1,p1\n")
@@ -210,7 +207,7 @@ class TestLogModel:
     def test_event_invariant(self):
         with pytest.raises(DomainError):
             make_log([("d", "p", 5, 4)])
-        assert log_rows(make_log([("d", "p", 5, 5)]))[0].exit_month == 5
+        assert make_log([("d", "p", 5, 5)]).stop.tolist() == [5]
 
     def test_duplicate_triple_rejected_at_construction(self):
         events = (("d", "p", 1), ("d", "p", 1, 4))
@@ -247,5 +244,5 @@ class TestLogModel:
     def test_numpy_integer_months_accepted(self):
         log = MembershipEventLog.from_rows(
             [("d", "p", np.int64(3), None), ("e", "p", np.int32(4), np.uint8(9))])
-        assert log.entry_month.tolist() == [3, 4]
-        assert log_rows(log)[1].exit_month == 9
+        assert log.start.tolist() == [3, 4] and log.stop.tolist() == [OPEN, 9]
+        assert log.start.dtype == log.stop.dtype == np.int64

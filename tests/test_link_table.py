@@ -1,10 +1,10 @@
-"""The link table against the set-based implementation it replaced.
+"""The log's merged rows against the set-based implementation they replaced.
 
 The oracles below are the former per-event code of `snapshots` and
-`estimators`: they regroup the log's events (as `event_rows.Row`s) into
-dicts and frozensets of string pairs. Every reader of the link table must agree with
-them, including on logs where one (developer, project) pair has
-overlapping, touching or zero-length records.
+`estimators`: they regroup the rows a log is built from (as `event_rows.Row`s)
+into dicts and frozensets of string pairs, never reading the log. Every
+reader of the log must agree with them, including on logs where one
+(developer, project) pair has overlapping, touching or zero-length records.
 """
 
 from collections import Counter
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import log_rows, make_log
+from event_rows import Row, make_log
 from forgesim import (
     DegenerateDataError,
     DegreeDistribution,
@@ -41,31 +41,37 @@ def active_at(ev, month):
     return ev.entry_month <= month and (ev.exit_month is None or ev.exit_month > month)
 
 
-def group_by(log, key):
+def group_by(rows, key):
     out = {}
-    for ev in log_rows(log):
+    for ev in rows:
         out.setdefault(key(ev), []).append(ev)
     return out
 
 
-def by_project(log):
-    return group_by(log, lambda ev: ev.project_id)
+def by_project(rows):
+    return group_by(rows, lambda ev: ev.project_id)
 
 
-def by_developer(log):
-    return group_by(log, lambda ev: ev.developer_id)
+def by_developer(rows):
+    return group_by(rows, lambda ev: ev.developer_id)
 
 
 def first_months(grouped):
     return {k: min(ev.entry_month for ev in evs) for k, evs in grouped.items()}
 
 
-def oracle_links(log, month):
-    lo, hi = log.month_range
+def oracle_month_range(rows):
+    lo = min(ev.entry_month for ev in rows)
+    hi = max(ev.entry_month if ev.exit_month is None else ev.exit_month for ev in rows)
+    return lo, hi
+
+
+def oracle_links(rows, month):
+    lo, hi = oracle_month_range(rows)
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
     return frozenset(
-        (ev.developer_id, ev.project_id) for ev in log_rows(log) if active_at(ev, month)
+        (ev.developer_id, ev.project_id) for ev in rows if active_at(ev, month)
     )
 
 
@@ -95,11 +101,11 @@ def final_exit(events):
     return latest
 
 
-def oracle_entry_exit(log, months=None):
-    lo, hi = months if months is not None else log.month_range
+def oracle_entry_exit(rows, months=None):
+    lo, hi = months if months is not None else oracle_month_range(rows)
     idx = np.arange(lo, hi + 1)
     out = {}
-    for name, grouped in (("projects", by_project(log)), ("developers", by_developer(log))):
+    for name, grouped in (("projects", by_project(rows)), ("developers", by_developer(rows))):
         new = np.zeros(idx.size, dtype=np.int64)
         removed = np.zeros(idx.size, dtype=np.int64)
         for first in first_months(grouped).values():
@@ -113,10 +119,10 @@ def oracle_entry_exit(log, months=None):
     return idx, out
 
 
-def oracle_classify(log, observation_end, censor_horizon_months=None):
+def oracle_classify(rows, observation_end, censor_horizon_months=None):
     labels = {}
     horizon = censor_horizon_months if censor_horizon_months is not None else 0.0
-    for project, events in by_project(log).items():
+    for project, events in by_project(rows).items():
         first = min(ev.entry_month for ev in events)
         if first > observation_end:
             continue
@@ -140,21 +146,21 @@ def oracle_classify(log, observation_end, censor_horizon_months=None):
     return labels
 
 
-def oracle_collaborative_counts(log, observation_end, months=None):
-    labels = oracle_classify(log, observation_end)
-    lo, hi = months if months is not None else log.month_range
+def oracle_collaborative_counts(rows, observation_end, months=None):
+    labels = oracle_classify(rows, observation_end)
+    lo, hi = months if months is not None else oracle_month_range(rows)
     hi = min(hi, observation_end)
     idx = np.arange(lo, hi + 1)
     new_p = np.zeros(idx.size, dtype=np.int64)
     new_d = np.zeros(idx.size, dtype=np.int64)
-    project_first = first_months(by_project(log))
-    developer_first = first_months(by_developer(log))
+    project_first = first_months(by_project(rows))
+    developer_first = first_months(by_developer(rows))
     for project, first in project_first.items():
         label = labels.get(project)
         if label is not None and label.collaborative and lo <= first <= hi:
             new_p[first - lo] += 1
     founders_non_collab = set()
-    for project, events in by_project(log).items():
+    for project, events in by_project(rows).items():
         label = labels.get(project)
         if label is None or label.collaborative:
             continue
@@ -168,11 +174,11 @@ def oracle_collaborative_counts(log, observation_end, months=None):
     return idx, new_p, new_d
 
 
-def oracle_interarrival(log, cohort_months, min_waits=30):
+def oracle_interarrival(rows, cohort_months, min_waits=30):
     cohort = set(cohort_months)
     waits = []
     censored = 0
-    for events in by_project(log).values():
+    for events in by_project(rows).values():
         first_join = {}
         for ev in events:
             prev = first_join.get(ev.developer_id)
@@ -197,11 +203,14 @@ def same_histogram(a, b):
     assert np.array_equal(a.counts, b.counts) and a.counts.dtype == b.counts.dtype
 
 
-def assert_matches_oracles(log):
-    lo, hi = log.month_range
+def assert_matches_oracles(rows):
+    """Every reader of the log of rows (Rows) against its oracle on the rows."""
+    log = make_log(rows)
+    lo, hi = oracle_month_range(rows)
+    assert log.month_range == (lo, hi) and len(log) == len(rows)
     for month in range(lo, hi + 1):
         snap = snapshot_at(log, month)
-        links = oracle_links(log, month)
+        links = oracle_links(rows, month)
         assert snap.links == links
         assert summarize(snap) == oracle_summarize(month, links)
         same_histogram(project_size_distribution(snap), oracle_size_distribution(links))
@@ -209,7 +218,7 @@ def assert_matches_oracles(log):
 
     for months in (None, (lo, hi), (lo - 2, hi + 3), (lo + 1, lo + 1)):
         counts = entry_exit_counts(log, months)
-        idx, expected = oracle_entry_exit(log, months)
+        idx, expected = oracle_entry_exit(rows, months)
         assert np.array_equal(counts.months, idx)
         for name, values in expected.items():
             assert np.array_equal(getattr(counts, name), values), name
@@ -217,16 +226,16 @@ def assert_matches_oracles(log):
     for end in (lo - 1, lo, (lo + hi) // 2, hi, hi + 5):
         for horizon in (None, 2.5):
             labels = classify_collaborative(log, end, censor_horizon_months=horizon)
-            assert labels == oracle_classify(log, end, horizon)
+            assert labels == oracle_classify(rows, end, horizon)
             assert list(labels) == sorted(labels)
         got = collaborative_entry_counts(log, end)
-        want = oracle_collaborative_counts(log, end)
+        want = oracle_collaborative_counts(rows, end)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
 
     for cohort in ({lo}, set(range(lo, hi + 1)), set()):
         try:
-            want = oracle_interarrival(log, cohort, min_waits=1)
+            want = oracle_interarrival(rows, cohort, min_waits=1)
         except DegenerateDataError as exc:
             with pytest.raises(DegenerateDataError, match=str(exc)):
                 interarrival_fit(log, cohort, min_waits=1)
@@ -238,7 +247,7 @@ def assert_matches_oracles(log):
 
 
 @st.composite
-def pair_heavy_logs(draw):
+def pair_heavy_rows(draw):
     """Few developers and projects over a short horizon, so one pair often
     has overlapping, touching (exit == next entry) and zero-length records."""
     keys = draw(
@@ -250,14 +259,14 @@ def pair_heavy_logs(draw):
     rows = []
     for d, p, entry in keys:
         exit_m = draw(st.one_of(st.none(), st.integers(entry, entry + 4)))
-        rows.append((f"d{d}", f"p{p}", entry, exit_m))
-    return make_log(rows)
+        rows.append(Row(f"d{d}", f"p{p}", entry, exit_m))
+    return rows
 
 
-@given(pair_heavy_logs())
+@given(pair_heavy_rows())
 @settings(max_examples=300, deadline=None)
-def test_every_reader_matches_its_oracle(log):
-    assert_matches_oracles(log)
+def test_every_reader_matches_its_oracle(rows):
+    assert_matches_oracles(rows)
 
 
 def test_every_reader_matches_its_oracle_on_a_larger_log():
@@ -269,19 +278,18 @@ def test_every_reader_matches_its_oracle_on_a_larger_log():
             continue
         seen.add((d, p, entry))
         exit_m = entry + int(rng.integers(0, 10)) if rng.random() < 0.4 else None
-        rows.append((d, p, entry, exit_m))
-    assert_matches_oracles(make_log(rows))
+        rows.append(Row(d, p, entry, exit_m))
+    assert_matches_oracles(rows)
 
 
 # ---------------------------------------------------------------------------
-# the table itself
+# the merged rows themselves
 
 
 def test_touching_records_of_one_pair_count_once_at_the_seam():
     log = make_log([("d1", "p1", 0, 3), ("d1", "p1", 3, 6), ("d2", "p2", 0)])
-    table = log.table
-    assert table.start.size == 2
-    assert table.start.tolist() == [0, 0] and table.stop.tolist() == [6, OPEN]
+    assert log.start.size == 2 and len(log) == 3
+    assert log.start.tolist() == [0, 0] and log.stop.tolist() == [6, OPEN]
     snap = snapshot_at(log, 3)
     assert snap.links == {("d1", "p1"), ("d2", "p2")}
     assert summarize(snap).n_links == 2
@@ -293,17 +301,22 @@ def test_touching_records_of_one_pair_count_once_at_the_seam():
 
 def test_overlapping_records_merge_into_one_interval():
     log = make_log([("d1", "p1", 0, 4), ("d1", "p1", 2, 9), ("d1", "p1", 5, 7), ("d1", "p1", 10)])
-    table = log.table
-    assert table.start.tolist() == [0, 10] and table.stop.tolist() == [9, OPEN]
+    assert log.start.tolist() == [0, 10] and log.stop.tolist() == [9, OPEN]
     assert [len(snapshot_at(log, m).rows) for m in range(11)] == [1] * 9 + [0, 1]
+
+
+def test_month_range_counts_an_exit_that_merging_hides():
+    # [0, 10) and [5, open) merge into [0, open), whose rows alone would give (0, 0)
+    log = make_log([("d1", "p1", 0, 10), ("d1", "p1", 5)])
+    assert log.start.tolist() == [0] and log.stop.tolist() == [OPEN]
+    assert log.month_range == (0, 10) and len(log) == 2
 
 
 def test_zero_length_record_sets_first_months_but_is_never_active():
     log = make_log([("d1", "p1", 2, 2), ("d2", "p1", 4, 9), ("d3", "p2", 0, 10)])
     assert all(("d1", "p1") not in snapshot_at(log, m).links for m in range(11))
-    table = log.table
-    assert dict(zip(table.project_ids, table.project_first.tolist())) == {"p1": 2, "p2": 0}
-    assert dict(zip(table.developer_ids, table.developer_first.tolist())) == {
+    assert dict(zip(log.project_ids, log.project_first.tolist())) == {"p1": 2, "p2": 0}
+    assert dict(zip(log.developer_ids, log.developer_first.tolist())) == {
         "d1": 2, "d2": 4, "d3": 0,
     }
     counts = entry_exit_counts(log)
@@ -313,20 +326,18 @@ def test_zero_length_record_sets_first_months_but_is_never_active():
 
 def test_ids_are_sorted_and_codes_index_them():
     log = make_log([("zed", "b", 0), ("amy", "a", 1), ("bob", "b", 1)])
-    table = log.table
-    assert table.developer_ids == ("amy", "bob", "zed")
-    assert table.project_ids == ("a", "b")
+    assert log.developer_ids == ("amy", "bob", "zed")
+    assert log.project_ids == ("a", "b")
     assert {
-        (table.developer_ids[d], table.project_ids[p])
-        for d, p in zip(table.developer.tolist(), table.project.tolist())
+        (log.developer_ids[d], log.project_ids[p])
+        for d, p in zip(log.developer.tolist(), log.project.tolist())
     } == {("zed", "b"), ("amy", "a"), ("bob", "b")}
 
 
-def test_empty_log_gives_an_empty_table():
+def test_empty_log_has_no_rows():
     log = make_log([])
-    table = log.table
-    assert table.start.size == 0 and table.developer_ids == () and table.project_ids == ()
-    assert table.active(0).size == 0
+    assert log.start.size == 0 and log.developer_ids == () and log.project_ids == ()
+    assert len(log) == 0 and log.active(0).size == 0
     counts = entry_exit_counts(log, (0, 2))
     assert counts.new_projects.tolist() == [0, 0, 0]
     assert classify_collaborative(log, 5) == {}
@@ -334,6 +345,6 @@ def test_empty_log_gives_an_empty_table():
         interarrival_fit(log, {0})
 
 
-def test_table_is_built_once_per_log():
+def test_snapshots_are_views_of_their_log():
     log = make_log([("d1", "p1", 0), ("d2", "p1", 1)])
-    assert snapshot_at(log, 0).table is snapshot_at(log, 1).table is log.table
+    assert snapshot_at(log, 0).log is snapshot_at(log, 1).log is log

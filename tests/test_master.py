@@ -148,6 +148,14 @@ class TestIntegerInputs:
         with pytest.raises(DomainError, match="must be an integer"):
             call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: steady_state(0.5, 0), "N"),
+        (lambda: steady_state(0.5, 10, x_max=0), "x_max"),
+    ], ids=["N=0", "x_max=0"])
+    def test_rejects_integers_below_one_naming_them(self, call, name):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 1$"):
+            call()
+
     def test_accepts_numpy_integers(self):
         states = iterate_master(0.5, np.int64(10), record_at=[np.int32(5)], x_trunc=np.int64(4))
         assert _bits(states) == _bits(iterate_master(0.5, 10, record_at=[5], x_trunc=4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import log_rows, make_log
+from event_rows import Row, make_log
 from forgesim import (
     DomainError,
     developer_degree_distribution,
@@ -30,7 +30,7 @@ def ten_dev_eight_project_log():
     return make_log(rows)
 
 
-def random_log(rng, n_events=1000, n_devs=120, n_projects=80, horizon=40):
+def random_rows(rng, n_events=1000, n_devs=120, n_projects=80, horizon=40):
     rows = []
     seen = set()
     while len(rows) < n_events:
@@ -43,8 +43,8 @@ def random_log(rng, n_events=1000, n_devs=120, n_projects=80, horizon=40):
         exit_m = None
         if rng.random() < 0.3:
             exit_m = entry + int(rng.integers(1, 10))
-        rows.append((d, p, entry, exit_m))
-    return make_log(rows)
+        rows.append(Row(d, p, entry, exit_m))
+    return rows
 
 
 class TestSnapshotActivity:
@@ -91,14 +91,15 @@ class TestSummarize:
         assert (summary.n_developers, summary.n_projects, summary.n_links) == (0, 0, 0)
 
     def test_counts_match_independent_recount(self):
-        log = random_log(np.random.default_rng(0))
+        rows = random_rows(np.random.default_rng(0))
+        log = make_log(rows)
         for month in (0, 10, 25, 39):
             snap = snapshot_at(log, month)
             # oracle: recount from scratch with plain set comprehensions over
             # the raw event list
             active = {
                 (e.developer_id, e.project_id)
-                for e in log_rows(log)
+                for e in rows
                 if e.entry_month <= month and (e.exit_month is None or e.exit_month > month)
             }
             s = summarize(snap)
@@ -122,7 +123,7 @@ class TestDistributions:
         assert dist.as_dict() == {1: 1.0, 2: 1.0}
 
     def test_mass_identities_and_recount_on_random_log(self):
-        log = random_log(np.random.default_rng(1))
+        log = make_log(random_rows(np.random.default_rng(1)))
         for month in (5, 20, 35):
             snap = snapshot_at(log, month)
             summary = summarize(snap)
