@@ -60,9 +60,7 @@ from .snapshots import (
     Snapshot,
     SnapshotSummary,
     developer_degree_distribution,
-    developer_projection,
     entry_exit_counts,
-    project_projection,
     project_size_distribution,
     snapshot_at,
     summarize,

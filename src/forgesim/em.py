@@ -24,7 +24,7 @@ import numpy as np
 
 from . import yule
 from .distributions import SizeDistribution
-from .errors import AlignmentError, DegenerateDataError, DomainError
+from .errors import AlignmentError, DegenerateDataError, DomainError, require_integer
 
 __all__ = ["EMConfig", "EMResult", "em_fit", "predicted_collaborative_entries"]
 
@@ -44,6 +44,9 @@ class EMConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(
+            self, "max_iterations", require_integer("max_iterations", self.max_iterations)
+        )
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
 

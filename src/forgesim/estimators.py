@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateDataError, DomainError
+from .errors import AlignmentError, DegenerateDataError, DomainError, require_integer
 from .events import MembershipEventLog
-from .snapshots import SnapshotSummary, _tally, snapshot_at
+from .snapshots import SnapshotSummary, _month_bounds, _tally, snapshot_at
 
 __all__ = [
     "GrowthFit",
@@ -158,26 +158,26 @@ class GammaFit:
 
 
 def _log2_bins(sizes: np.ndarray, increments: np.ndarray, min_bin_count: int):
-    """Mean size and mean increment per log2 size bin, sparse bins merged left."""
-    edges_hi = int(np.ceil(np.log2(sizes.max() + 1)))
-    bins: list[tuple[list[float], list[float]]] = []
-    for j in range(edges_hi + 1):
-        sel = (sizes >= 2**j) & (sizes < 2 ** (j + 1))
-        if sel.any():
-            bins.append((list(sizes[sel]), list(increments[sel])))
-    # merge sparse bins into their left neighbour, right to left
-    i = len(bins) - 1
-    while i > 0:
-        if len(bins[i][0]) < min_bin_count:
-            bins[i - 1][0].extend(bins[i][0])
-            bins[i - 1][1].extend(bins[i][1])
-            bins.pop(i)
-        i -= 1
-    return [
-        (float(np.mean(s)), float(np.mean(g)), len(s))
-        for s, g in bins
-        if len(s) >= min_bin_count
-    ]
+    """Mean size and mean increment per log2 size bin, sparse bins merged left.
+
+    Size s >= 1 falls in bin floor(log2 s), read exactly off its binary
+    exponent. Right to left, a bin below min_bin_count carries into its left
+    neighbour; a sparse remainder at the leftmost bin is dropped.
+    """
+    index = np.frexp(sizes)[1] - 1
+    counts = np.bincount(index)
+    size_sums = np.bincount(index, weights=sizes)
+    inc_sums = np.bincount(index, weights=increments)
+    bins = []
+    count, size_sum, inc_sum = 0, 0.0, 0.0
+    for j in np.flatnonzero(counts)[::-1].tolist():
+        count += int(counts[j])
+        size_sum += size_sums[j]
+        inc_sum += inc_sums[j]
+        if count >= min_bin_count:
+            bins.append((float(size_sum / count), float(inc_sum / count), count))
+            count, size_sum, inc_sum = 0, 0.0, 0.0
+    return bins[::-1]
 
 
 def size_dependent_growth(
@@ -193,12 +193,14 @@ def size_dependent_growth(
     from the log's first month; the key is the window's start month. Windows
     containing masked months are skipped.
     """
-    from scipy.stats import linregress  # deferred: scipy.stats is slow to import
-
+    window_months = require_integer("window_months", window_months)
+    if window_months < 1:
+        raise DomainError(f"window_months must be >= 1, got {window_months}")
     mask = mask or frozenset()
     lo, hi = log.month_range
     if hi - lo < window_months:
         raise DomainError(f"log spans {hi - lo} months, need >= {window_months}")
+    from scipy.stats import linregress  # deferred: scipy.stats is slow to import
 
     fits: dict[int, GammaFit] = {}
     for start in range(lo, hi - window_months + 1, window_months):
@@ -336,6 +338,7 @@ def classify_collaborative(
     collaborative ones, never the reverse. Labels cover the projects born by
     observation_end, in project-id order.
     """
+    observation_end = require_integer("observation_end", observation_end)
     horizon = censor_horizon_months if censor_horizon_months is not None else 0.0
     collaborative = _collaborative(log, observation_end).tolist()
     first_months = log.project_first.tolist()
@@ -363,8 +366,9 @@ def collaborative_entry_counts(
     project labelled non-collaborative (exclusion at entry month; the data
     does not say whether the original analysis excluded retroactively).
     """
+    observation_end = require_integer("observation_end", observation_end)
+    lo, hi = _month_bounds(log, months)
     collaborative = _collaborative(log, observation_end)
-    lo, hi = months if months is not None else log.month_range
     hi = min(hi, observation_end)
     # a founder of a non-collaborative project is excluded when that founding
     # row is also the developer's first link; a project born after

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import yule
 from .distributions import SizeDistribution
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, require_integer
 
 __all__ = ["GofResult", "ks_statistic", "bootstrap_pvalue"]
 
@@ -103,8 +103,13 @@ def bootstrap_pvalue(
     not depend on which other replicas share its batch, so the result is
     reproducible and independent of how replicas are split across jobs.
     """
+    n_bootstrap = require_integer("n_bootstrap", n_bootstrap)
+    seed = require_integer("seed", seed)
+    jobs = require_integer("jobs", jobs)
     if n_bootstrap < 100:
         raise DomainError("n_bootstrap must be >= 100 for a usable p-value resolution")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     fit = yule.mle_rho(dist)
@@ -112,7 +117,7 @@ def bootstrap_pvalue(
     n = int(round(dist.total_projects))
 
     # one contiguous block of replicas per worker; serial is the one-block case
-    n_blocks = max(1, min(jobs, n_bootstrap))
+    n_blocks = min(jobs, n_bootstrap)
     bounds = [n_bootstrap * k // n_blocks for k in range(n_blocks + 1)]
     tasks = [(fit.rho_hat, n, seed, lo, hi, x_cache) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks > 1:

@@ -81,7 +81,9 @@ class SimParams:
         if not np.isfinite(self.alpha):
             raise DomainError("alpha must be finite")
         cps = tuple(sorted(cps))
-        if cps and (cps[0] < 1 or cps[-1] > self.n_steps):
+        if not cps:
+            raise DomainError("checkpoints must not be empty")
+        if cps[0] < 1 or cps[-1] > self.n_steps:
             raise DomainError("checkpoints must lie within [1, n_steps]")
         object.__setattr__(self, "checkpoints", cps)
 
@@ -275,8 +277,12 @@ def replicate(params: SimParams, n_replicas: int, jobs: int = 1) -> ReplicateRes
     by replica index, so the output is identical for any jobs count or
     execution order.
     """
+    n_replicas = require_integer("n_replicas", n_replicas)
+    jobs = require_integer("jobs", jobs)
     if n_replicas < 1:
         raise DomainError("n_replicas must be >= 1")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     tasks = [(params, r) for r in range(n_replicas)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

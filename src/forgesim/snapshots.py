@@ -8,14 +8,12 @@ event log, so per-month computations are safe to evaluate concurrently.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .distributions import DegreeDistribution, SizeDistribution
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .events import MembershipEventLog
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "summarize",
     "project_size_distribution",
     "developer_degree_distribution",
-    "project_projection",
-    "developer_projection",
     "entry_exit_counts",
 ]
 
@@ -37,15 +33,6 @@ class Snapshot:
     month: int
     log: MembershipEventLog
     rows: np.ndarray  # indices of the log rows active in this month
-
-    @cached_property
-    def links(self) -> frozenset[tuple[str, str]]:
-        """Active (developer_id, project_id) pairs."""
-        log = self.log
-        return frozenset(
-            (log.developer_ids[d], log.project_ids[p])
-            for d, p in zip(log.developer[self.rows].tolist(), log.project[self.rows].tolist())
-        )
 
     def sizes(self) -> np.ndarray:
         """Active developers per project code."""
@@ -65,7 +52,8 @@ class SnapshotSummary:
 
 
 def snapshot_at(log: MembershipEventLog, month: int) -> Snapshot:
-    """Active-pair set in the given month."""
+    """The rows active in the given month."""
+    month = require_integer("month", month)
     lo, hi = log.month_range
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
@@ -93,33 +81,6 @@ def developer_degree_distribution(snapshot: Snapshot) -> DegreeDistribution:
     return DegreeDistribution.from_degrees(degrees[degrees > 0])
 
 
-def _one_mode(groups: dict[str, list[str]]) -> dict[tuple[str, str], int]:
-    """Co-membership projection: weight = number of shared neighbours."""
-    weights: Counter[tuple[str, str]] = Counter()
-    for members in groups.values():
-        members = sorted(set(members))
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                weights[(a, b)] += 1
-    return dict(weights)
-
-
-def project_projection(snapshot: Snapshot) -> dict[tuple[str, str], int]:
-    """Edges between projects sharing a developer; keys are sorted pairs."""
-    by_dev: dict[str, list[str]] = {}
-    for d, p in snapshot.links:
-        by_dev.setdefault(d, []).append(p)
-    return _one_mode(by_dev)
-
-
-def developer_projection(snapshot: Snapshot) -> dict[tuple[str, str], int]:
-    """Edges between developers sharing a project; keys are sorted pairs."""
-    by_proj: dict[str, list[str]] = {}
-    for d, p in snapshot.links:
-        by_proj.setdefault(p, []).append(d)
-    return _one_mode(by_proj)
-
-
 @dataclass(frozen=True)
 class EntryExitCounts:
     months: np.ndarray
@@ -141,6 +102,14 @@ def _tally(months: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.bincount(inside - lo, minlength=max(hi - lo + 1, 0))
 
 
+def _month_bounds(log: MembershipEventLog, months: tuple[int, int] | None) -> tuple[int, int]:
+    """The (lo, hi) bounds of months as ints, or the log's month range for None."""
+    if months is None:
+        return log.month_range
+    lo, hi = months
+    return require_integer("months[0]", lo), require_integer("months[1]", hi)
+
+
 def entry_exit_counts(
     log: MembershipEventLog, months: tuple[int, int] | None = None
 ) -> EntryExitCounts:
@@ -151,9 +120,7 @@ def entry_exit_counts(
     index carried by its final exit). Entities with an open-ended link are
     never removed.
     """
-    if months is None:
-        months = log.month_range
-    lo, hi = months
+    lo, hi = _month_bounds(log, months)
     if hi < lo:
         raise DomainError("empty month range")
 

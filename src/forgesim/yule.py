@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
 from .distributions import SizeDistribution
-from .errors import ConvergenceError, DegenerateDataError, DomainError
+from .errors import ConvergenceError, DegenerateDataError, DomainError, require_integer
 
 __all__ = [
     "YuleFit",
@@ -175,6 +175,16 @@ def _cdf_table(rho: float, x_cache: int) -> np.ndarray:
     return p
 
 
+def _check_draws(n, x_cache) -> tuple[int, int]:
+    """n draws and the cdf table length x_cache as ints, each at least 1."""
+    n, x_cache = require_integer("n", n), require_integer("x_cache", x_cache)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if x_cache < 1:
+        raise DomainError(f"x_cache must be >= 1, got {x_cache}")
+    return n, x_cache
+
+
 def _invert_tail(target_survival: float, rho: float, lo: int) -> int:
     """Smallest x > lo with S(x) <= target, via asymptotic guess + bisection."""
     # S(x) ~ Gamma(rho+1) x^-rho for large x
@@ -200,9 +210,8 @@ def sample(rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_
     exact over the whole support.
     """
     rho = _check_rho(rho)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    table = _cdf_table(rho, int(x_cache))
+    n, x_cache = _check_draws(n, x_cache)
+    table = _cdf_table(rho, x_cache)
     u = rng.random(n)
     out = np.searchsorted(table, u, side="left") + 1
     tail = u > table[-1]
@@ -222,9 +231,8 @@ def sample_counts(
     table's edges up to the largest size drawn are searched into them.
     """
     rho = _check_rho(rho)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    table = _cdf_table(rho, int(x_cache))
+    n, x_cache = _check_draws(n, x_cache)
+    table = _cdf_table(rho, x_cache)
     u = np.sort(rng.random(n))
     n_table = int(np.searchsorted(u, table[-1], side="right"))
     top = int(np.searchsorted(table, u[n_table - 1], side="left")) + 1 if n_table else 0

@@ -1,4 +1,5 @@
-"""Event rows for tests: logs built from row tuples, and logs compared row by row.
+"""Event rows for tests: logs built from row tuples, logs compared row by row,
+and the active pairs of a snapshot.
 
 `Row` names the fields of one event, so set-based oracles read the rows a
 log is built from by name.
@@ -16,6 +17,13 @@ Row = namedtuple("Row", "developer_id project_id entry_month exit_month", defaul
 def make_log(rows):
     """The log of (developer, project, entry[, exit]) tuples; a missing exit is None."""
     return MembershipEventLog.from_rows([Row(*r) for r in rows])
+
+
+def active_pairs(snap):
+    """The (developer, project) id pairs of the snapshot's rows, decoded through the log."""
+    log = snap.log
+    codes = zip(log.developer[snap.rows].tolist(), log.project[snap.rows].tolist())
+    return {(log.developer_ids[d], log.project_ids[p]) for d, p in codes}
 
 
 def assert_same_rows(got, want):

@@ -179,13 +179,20 @@ def _null_pvalue(trial, b):
     return bootstrap_pvalue(dist, n_bootstrap=b, seed=trial).p_value
 
 
+def _calibration_trial(trial):
+    return _null_pvalue(trial, 500)
+
+
 def _uniformity_trial(trial):
     return _null_pvalue(trial, 200)
 
 
 class TestCriterion7GofCalibrationAndPower:
     def test_calibration_under_null(self):
-        pvals = np.array([_null_pvalue(t, 500) for t in range(100)])
+        from multiprocessing import Pool
+
+        with Pool(2) as pool:
+            pvals = np.array(pool.map(_calibration_trial, range(100)))
         frac = float((pvals < 0.1).mean())
         ok = 0.05 <= frac <= 0.2
         assert report(7, "null calibration (rho=3, n=5000, B=500, 100 trials)", ok,

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from event_rows import make_log
+from event_rows import active_pairs, make_log
 from forgesim import (
     DegenerateDataError,
     DomainError,
@@ -20,7 +22,8 @@ from forgesim import (
     size_dependent_growth,
     snapshot_at,
 )
-from forgesim.estimators import DAYS_PER_MONTH
+from forgesim.estimators import DAYS_PER_MONTH, _log2_bins
+from log2_bins_oracle import oracle_log2_bins
 
 class TestExponentialGrowth:
     def test_noiseless_series_recovered_exactly(self):
@@ -144,6 +147,68 @@ class TestSizeDependentGrowth:
             size_dependent_growth(make_log([("d", "p", 0), ("e", "p", 5)]))
 
 
+def assert_bins_match_oracle(sizes, increments, min_bin_count):
+    """_log2_bins has the oracle's bins and counts, and its means to rounding."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    increments = np.asarray(increments, dtype=np.float64)
+    got = _log2_bins(sizes, increments, min_bin_count)
+    want = oracle_log2_bins(sizes, increments, min_bin_count)
+    assert [b[2] for b in got] == [b[2] for b in want]
+    for k, values in ((0, sizes), (1, increments)):
+        atol = 1e-14 * np.abs(values).max()
+        assert np.allclose([b[k] for b in got], [b[k] for b in want], rtol=1e-12, atol=atol)
+
+
+EDGE_SIZES = [1, 2, 3, 4, 7, 8, 2**20 - 1, 2**20]
+
+
+@st.composite
+def binned_samples(draw):
+    """Sizes >= 1, often at or one below a power of two, with signed
+    real or twelfth-integer increments."""
+    size = st.one_of(
+        st.integers(1, 2**21),
+        st.integers(0, 21).map(lambda k: 2**k),
+        st.integers(1, 21).map(lambda k: 2**k - 1),
+    )
+    sizes = draw(st.lists(size, min_size=1, max_size=200))
+    increment = draw(st.sampled_from([
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.integers(-120, 120).map(lambda k: k / 12),
+    ]))
+    increments = draw(st.lists(increment, min_size=len(sizes), max_size=len(sizes)))
+    return sizes, increments
+
+
+class TestLog2Bins:
+    @given(binned_samples(), st.sampled_from([0, 1, 2, 5, 20, 50]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_oracle(self, sample, min_bin_count):
+        assert_bins_match_oracle(*sample, min_bin_count)
+
+    @pytest.mark.parametrize("min_bin_count", [0, 1, 20])
+    def test_matches_list_oracle_on_pareto_sizes(self, min_bin_count):
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            sizes = np.floor(rng.pareto(1.2, rng.integers(1, 400)) + 1)
+            assert_bins_match_oracle(sizes, rng.normal(0, 3, sizes.size), min_bin_count)
+
+    @pytest.mark.parametrize("min_bin_count", [0, 1, 20])
+    @pytest.mark.parametrize("sizes", [
+        EDGE_SIZES,
+        EDGE_SIZES * 20,
+        [1] * 20 + [2, 3] * 10 + [4, 7] * 5 + [8] * 25,
+        [5],
+        [2**20] * 30,
+        [2**k for k in range(21)],
+        [3, 5, 9, 17, 33, 2**20 - 1],
+    ], ids=["edges", "edges-dense", "mixed", "single", "single-bin", "all-sparse",
+            "all-sparse-above-one"])
+    def test_matches_list_oracle_on_directed_cases(self, sizes, min_bin_count):
+        increments = np.linspace(-2.0, 3.0, len(sizes))
+        assert_bins_match_oracle(sizes, increments, min_bin_count)
+
+
 class TestP0Series:
     def test_plain_ratio(self):
         series = p0_series([3], [61], [100])
@@ -230,7 +295,7 @@ class TestClassification:
         # d1 holds two overlapping records of p1; snapshot_at gives p1 size 1
         # in every month, so p1 is not collaborative
         log = make_log([("d1", "p1", 0), ("d1", "p1", 2, 6)])
-        assert max(len(snapshot_at(log, m).links) for m in range(7)) == 1
+        assert max(len(active_pairs(snapshot_at(log, m))) for m in range(7)) == 1
         labels = classify_collaborative(log, observation_end=6)
         assert not labels["p1"].collaborative
 

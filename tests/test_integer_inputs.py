@@ -1,0 +1,94 @@
+"""The integer rule at the library's count, month and window inputs.
+
+Each of these inputs takes Python and numpy integers only. A float, a bool,
+or an integer below the input's minimum raises a DomainError that names the
+input, before any work starts.
+"""
+
+import numpy as np
+import pytest
+
+from event_rows import make_log
+from forgesim import (
+    DomainError,
+    EMConfig,
+    SimParams,
+    SizeDistribution,
+    bootstrap_pvalue,
+    classify_collaborative,
+    collaborative_entry_counts,
+    entry_exit_counts,
+    replicate,
+    sample,
+    size_dependent_growth,
+    snapshot_at,
+)
+from forgesim.yule import sample_counts
+
+DIST = SizeDistribution.from_sizes(sample(3.0, 200, np.random.default_rng(5)))
+PARAMS = SimParams(p0=0.5, n_steps=20, seed=1)
+LOG = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30), ("d4", "p3", 1)])
+
+
+def rng():
+    return np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: sample(3.0, 2.5, rng()), "n"),
+    (lambda: sample(3.0, 10, rng(), x_cache=10.7), "x_cache"),
+    (lambda: sample(3.0, 10, rng(), x_cache=0), "x_cache"),
+    (lambda: sample_counts(3.0, 10, rng(), x_cache=10.7), "x_cache"),
+    (lambda: sample_counts(3.0, 10, rng(), x_cache=0), "x_cache"),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100.5), "n_bootstrap"),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, seed=1.5), "seed"),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, seed=True), "seed"),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=1.5), "jobs"),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=0), "jobs"),
+    (lambda: replicate(PARAMS, 2.5), "n_replicas"),
+    (lambda: replicate(PARAMS, 2, jobs=1.5), "jobs"),
+    (lambda: replicate(PARAMS, 2, jobs=0), "jobs"),
+    (lambda: EMConfig(max_iterations=2.5), "max_iterations"),
+    (lambda: EMConfig(max_iterations=True), "max_iterations"),
+    (lambda: SimParams(p0=0.5, n_steps=20, seed=1, checkpoints=()), "checkpoints"),
+], ids=[
+    "sample-n=2.5", "sample-x_cache=10.7", "sample-x_cache=0", "sample_counts-x_cache=10.7",
+    "sample_counts-x_cache=0", "n_bootstrap=100.5", "bootstrap-seed=1.5", "bootstrap-seed=True",
+    "bootstrap-jobs=1.5", "bootstrap-jobs=0", "n_replicas=2.5", "replicate-jobs=1.5",
+    "replicate-jobs=0", "max_iterations=2.5", "max_iterations=True", "checkpoints=()",
+])
+def test_count_inputs_follow_the_integer_rule(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: snapshot_at(LOG, 2.5), "month"),
+    (lambda: snapshot_at(LOG, True), "month"),
+    (lambda: classify_collaborative(LOG, 2.5), "observation_end"),
+    (lambda: collaborative_entry_counts(LOG, 2.5), "observation_end"),
+    (lambda: collaborative_entry_counts(LOG, 5, months=(0.5, 3)), r"months\[0\]"),
+    (lambda: entry_exit_counts(LOG, (0.5, 3)), r"months\[0\]"),
+    (lambda: entry_exit_counts(LOG, (0, 3.0)), r"months\[1\]"),
+    (lambda: size_dependent_growth(LOG, window_months=0), "window_months"),
+    (lambda: size_dependent_growth(LOG, window_months=2.5), "window_months"),
+], ids=[
+    "snapshot-month=2.5", "snapshot-month=True", "classify-observation_end=2.5",
+    "counts-observation_end=2.5", "counts-months=(0.5,3)", "entry_exit-months=(0.5,3)",
+    "entry_exit-months=(0,3.0)", "window_months=0", "window_months=2.5",
+])
+def test_months_and_windows_follow_the_integer_rule(call, name):
+    with pytest.raises(DomainError, match=rf"^{name} must"):
+        call()
+
+
+def test_numpy_integer_months_and_windows_are_accepted():
+    snap = snapshot_at(LOG, np.int64(2))
+    assert (type(snap.month), snap.month) == (int, 2)
+    counts = entry_exit_counts(LOG, (np.int32(0), np.int64(3)))
+    assert counts.months.tolist() == [0, 1, 2, 3]
+    assert entry_exit_counts(LOG, (0, 3)).new_projects.tolist() == counts.new_projects.tolist()
+    got = collaborative_entry_counts(LOG, np.int64(5), months=(np.int64(0), np.int64(5)))
+    want = collaborative_entry_counts(LOG, 5, months=(0, 5))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert classify_collaborative(LOG, np.int64(5)) == classify_collaborative(LOG, 5)

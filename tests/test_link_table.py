@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import Row, make_log
+from event_rows import Row, active_pairs, make_log
 from forgesim import (
     DegenerateDataError,
     DegreeDistribution,
@@ -211,7 +211,7 @@ def assert_matches_oracles(rows):
     for month in range(lo, hi + 1):
         snap = snapshot_at(log, month)
         links = oracle_links(rows, month)
-        assert snap.links == links
+        assert active_pairs(snap) == links
         assert summarize(snap) == oracle_summarize(month, links)
         same_histogram(project_size_distribution(snap), oracle_size_distribution(links))
         same_histogram(developer_degree_distribution(snap), oracle_degree_distribution(links))
@@ -291,7 +291,7 @@ def test_touching_records_of_one_pair_count_once_at_the_seam():
     assert log.start.size == 2 and len(log) == 3
     assert log.start.tolist() == [0, 0] and log.stop.tolist() == [6, OPEN]
     snap = snapshot_at(log, 3)
-    assert snap.links == {("d1", "p1"), ("d2", "p2")}
+    assert active_pairs(snap) == {("d1", "p1"), ("d2", "p2")}
     assert summarize(snap).n_links == 2
     assert project_size_distribution(snap).as_dict() == {1: 2.0}
     counts = entry_exit_counts(log, (0, 6))
@@ -314,7 +314,7 @@ def test_month_range_counts_an_exit_that_merging_hides():
 
 def test_zero_length_record_sets_first_months_but_is_never_active():
     log = make_log([("d1", "p1", 2, 2), ("d2", "p1", 4, 9), ("d3", "p2", 0, 10)])
-    assert all(("d1", "p1") not in snapshot_at(log, m).links for m in range(11))
+    assert all(("d1", "p1") not in active_pairs(snapshot_at(log, m)) for m in range(11))
     assert dict(zip(log.project_ids, log.project_first.tolist())) == {"p1": 2, "p2": 0}
     assert dict(zip(log.developer_ids, log.developer_first.tolist())) == {
         "d1": 2, "d2": 4, "d3": 0,

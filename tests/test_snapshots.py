@@ -1,17 +1,15 @@
-"""Tests of snapshots, summaries, distributions, projections, entry/exit."""
+"""Tests of snapshots: active rows, summaries, size and degree distributions, entry/exit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from event_rows import Row, make_log
+from event_rows import Row, active_pairs, make_log
 from forgesim import (
     DomainError,
     developer_degree_distribution,
-    developer_projection,
     entry_exit_counts,
-    project_projection,
     project_size_distribution,
     snapshot_at,
     summarize,
@@ -50,12 +48,12 @@ def random_rows(rng, n_events=1000, n_devs=120, n_projects=80, horizon=40):
 class TestSnapshotActivity:
     def test_entry_month_inclusive(self):
         log = make_log([("d1", "p1", 5, 8)])
-        assert ("d1", "p1") in snapshot_at(log, 5).links
+        assert ("d1", "p1") in active_pairs(snapshot_at(log, 5))
 
     def test_exit_month_exclusive(self):
         log = make_log([("d1", "p1", 5, 8)])
-        assert snapshot_at(log, 7).links
-        assert not snapshot_at(log, 8).links
+        assert active_pairs(snapshot_at(log, 7))
+        assert not active_pairs(snapshot_at(log, 8))
 
     def test_entry_not_yet_reached(self):
         log = make_log([("d1", "p1", 5), ("d2", "p1", 7)])
@@ -72,8 +70,8 @@ class TestSnapshotActivity:
     def test_adding_events_never_removes_active_pairs(self, month):
         base = [("d1", "p1", 0, 12), ("d2", "p2", 3, 9), ("d3", "p1", 5)]
         extra = base + [("d9", "p9", 2, 7)]
-        before = snapshot_at(make_log(base), month).links
-        after = snapshot_at(make_log(extra), month).links
+        before = active_pairs(snapshot_at(make_log(base), month))
+        after = active_pairs(snapshot_at(make_log(extra), month))
         assert before <= after
 
 
@@ -134,8 +132,9 @@ class TestDistributions:
             assert sdist.total_projects == summary.n_projects
             assert ddist.n_developers == summary.n_developers
             # recount oracle for one project picked from the snapshot
-            some_project = next(iter({p for _, p in snap.links}))
-            exact = len({d for d, p in snap.links if p == some_project})
+            pairs = active_pairs(snap)
+            some_project = next(iter({p for _, p in pairs}))
+            exact = len({d for d, p in pairs if p == some_project})
             assert exact >= 1
 
     def test_fixture_distributions_consistent_with_links(self):
@@ -160,55 +159,6 @@ class TestDistributions:
                 dev += 1
         dist = project_size_distribution(snapshot_at(make_log(rows), 0))
         assert dist.as_dict() == trace.final.distribution.as_dict()
-
-
-class TestProjections:
-    def test_shared_developer_creates_project_edge(self):
-        log = make_log([("d1", "p1", 0), ("d1", "p2", 0)])
-        snap = snapshot_at(log, 0)
-        assert project_projection(snap) == {("p1", "p2"): 1}
-        assert developer_projection(snap) == {}
-
-    def test_matches_biadjacency_product_oracle(self):
-        rng = np.random.default_rng(2)
-        devs = [f"d{i}" for i in range(30)]
-        projs = [f"p{j}" for j in range(20)]
-        links = set()
-        while len(links) < 120:
-            links.add((devs[rng.integers(30)], projs[rng.integers(20)]))
-        snap = snapshot_at(make_log([(d, p, 0) for d, p in links]), 0)
-        B = np.zeros((30, 20), dtype=int)
-        for d, p in links:
-            B[devs.index(d), projs.index(p)] = 1
-        proj_edges = project_projection(snap)
-        PP = B.T @ B  # shared-developer counts
-        for i, a in enumerate(projs):
-            for j in range(i + 1, 20):
-                b = projs[j]
-                key = (a, b) if a < b else (b, a)
-                assert proj_edges.get(key, 0) == PP[i, j]
-        dev_edges = developer_projection(snap)
-        DD = B @ B.T
-        for i, a in enumerate(devs):
-            for j in range(i + 1, 30):
-                b = devs[j]
-                key = (a, b) if a < b else (b, a)
-                assert dev_edges.get(key, 0) == DD[i, j]
-
-    def test_symmetric_and_self_edge_free(self):
-        snap = snapshot_at(ten_dev_eight_project_log(), 0)
-        for edges in (project_projection(snap), developer_projection(snap)):
-            for a, b in edges:
-                assert a < b  # one undirected edge per pair, no loops
-
-    def test_developer_projection_total_weight(self):
-        # with no developer pair sharing two projects, the total developer
-        # projection weight is sum_x n(x) * x(x-1)/2
-        log = ten_dev_eight_project_log()
-        snap = snapshot_at(log, 0)
-        sdist = project_size_distribution(snap)
-        expected = sum(c * x * (x - 1) / 2 for x, c in sdist.as_dict().items())
-        assert sum(developer_projection(snap).values()) == expected
 
 
 class TestEntryExit:
