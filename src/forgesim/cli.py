@@ -152,10 +152,16 @@ def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, s
     return SizeDistribution(sizes, counts), ""
 
 
-def _outdir(args) -> Path:
+def _write_outputs(args, manifest: RunManifest, tables) -> int:
+    """Write each (name, header, rows, metadata) table to --output-dir in the
+    given order, then the command's manifest, which lists them in that order."""
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, header, rows, metadata in tables:
+        write_table(out / name, header, rows, metadata)
+        manifest.outputs.append(name)
+    manifest.write(out / f"{args.command}.manifest.txt")
+    return EXIT_OK
 
 
 def _trace_rows(trace: simulate.SimTrace):
@@ -164,8 +170,7 @@ def _trace_rows(trace: simulate.SimTrace):
             yield (cp.step, int(size), count)
 
 
-def cmd_simulate(args) -> int:
-    manifest = RunManifest(command="simulate", version=__version__)
+def cmd_simulate(args, manifest: RunManifest) -> int:
     params = simulate.SimParams(
         p0=args.p0,
         n_steps=args.steps,
@@ -178,30 +183,20 @@ def cmd_simulate(args) -> int:
         seed=args.seed, generator=simulate.GENERATOR_ID,
     )
     result = simulate.replicate(params, args.replicas, jobs=args.jobs)
-    out = _outdir(args)
     meta = {
         "p0": args.p0, "steps": args.steps, "alpha": args.alpha,
         "seed": args.seed, "generator": simulate.GENERATOR_ID,
     }
-    for r, trace in enumerate(result.traces):
-        name = f"trace_replica_{r:03d}.csv"
-        write_table(out / name, ["checkpoint_step", "size", "count"], _trace_rows(trace),
-                    metadata={**meta, "replica": r})
-        manifest.outputs.append(name)
     mean = result.mean_distribution
-    write_table(
-        out / "mean_distribution.csv",
-        ["size", "count"],
-        zip((int(s) for s in mean.sizes), mean.counts),
-        metadata={**meta, "replicas": args.replicas},
-    )
-    manifest.outputs.append("mean_distribution.csv")
-    manifest.write(out / "simulate.manifest.txt")
-    return EXIT_OK
+    return _write_outputs(args, manifest, [
+        *((f"trace_replica_{r:03d}.csv", ["checkpoint_step", "size", "count"], _trace_rows(trace),
+           {**meta, "replica": r}) for r, trace in enumerate(result.traces)),
+        ("mean_distribution.csv", ["size", "count"], zip((int(s) for s in mean.sizes), mean.counts),
+         {**meta, "replicas": args.replicas}),
+    ])
 
 
-def cmd_analyze(args) -> int:
-    manifest = RunManifest(command="analyze", version=__version__)
+def cmd_analyze(args, manifest: RunManifest) -> int:
     log = _load_events(args.events, manifest)
     mask = _load_mask(args, manifest)
     first, last = log.month_range
@@ -229,104 +224,74 @@ def cmd_analyze(args) -> int:
         ddist = snapshots.developer_degree_distribution(snap)
         degree_rows.extend((m, int(k), c) for k, c in zip(ddist.degrees, ddist.counts))
     counts = snapshots.entry_exit_counts(log, (lo, hi))
+    # a month has an active project exactly when it has an active developer,
+    # so both series cover the same months
     rates_p, rates_d = estimators.relative_entry_rates(summaries, mask)
 
-    out = _outdir(args)
-    write_table(
-        out / "summary.csv",
-        ["month", "n_developers", "n_projects", "n_links", "masked"],
-        summary_rows,
-    )
-    write_table(out / "size_distribution.csv", ["month", "size", "count"], size_rows)
-    write_table(out / "degree_distribution.csv", ["month", "degree", "count"], degree_rows)
-    write_table(
-        out / "entry_exit.csv",
-        ["month", "new_projects", "removed_projects", "new_developers", "removed_developers"],
-        zip(counts.months, counts.new_projects, counts.removed_projects,
-            counts.new_developers, counts.removed_developers),
-    )
-    by_month_p = dict(zip(rates_p.months.tolist(), rates_p.values.tolist()))
-    by_month_d = dict(zip(rates_d.months.tolist(), rates_d.values.tolist()))
-    shared = sorted(set(by_month_p) & set(by_month_d))
-    write_table(
-        out / "entry_rates.csv",
-        ["month", "g_projects", "g_developers"],
-        [(m, by_month_p[m], by_month_d[m]) for m in shared],
-    )
-    write_table(
-        out / "entry_rate_quantiles.csv",
-        ["series", "q10", "median", "q90"],
-        [
-            ("projects", rates_p.q10, rates_p.median, rates_p.q90),
-            ("developers", rates_d.q10, rates_d.median, rates_d.q90),
-        ],
-    )
-    for name in ("summary.csv", "size_distribution.csv", "degree_distribution.csv",
-                 "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"):
-        manifest.outputs.append(name)
-    manifest.write(out / "analyze.manifest.txt")
-    return EXIT_OK
+    return _write_outputs(args, manifest, [
+        ("summary.csv", ["month", "n_developers", "n_projects", "n_links", "masked"],
+         summary_rows, None),
+        ("size_distribution.csv", ["month", "size", "count"], size_rows, None),
+        ("degree_distribution.csv", ["month", "degree", "count"], degree_rows, None),
+        ("entry_exit.csv",
+         ["month", "new_projects", "removed_projects", "new_developers", "removed_developers"],
+         zip(counts.months, counts.new_projects, counts.removed_projects,
+             counts.new_developers, counts.removed_developers), None),
+        ("entry_rates.csv", ["month", "g_projects", "g_developers"],
+         zip(rates_p.months, rates_p.values, rates_d.values), None),
+        ("entry_rate_quantiles.csv", ["series", "q10", "median", "q90"],
+         [("projects", rates_p.q10, rates_p.median, rates_p.q90),
+          ("developers", rates_d.q10, rates_d.median, rates_d.q90)], None),
+    ])
 
 
-def cmd_fit(args) -> int:
-    manifest = RunManifest(command="fit", version=__version__)
+def cmd_fit(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
     manifest.params.update(input=args.input, month=month)
     fit = yule.mle_rho(dist)
-    out = _outdir(args)
-    write_table(
-        out / "fit.csv",
+    return _write_outputs(args, manifest, [(
+        "fit.csv",
         ["month", "rho_hat", "log_likelihood", "n_observations", "derived_p0", "domain_flag"],
         [(month, fit.rho_hat, fit.log_likelihood, fit.n_observations,
           fit.derived_p0, fit.domain_flag)],
-    )
-    manifest.outputs.append("fit.csv")
-    manifest.write(out / "fit.manifest.txt")
-    return EXIT_OK
+        None,
+    )])
 
 
-def cmd_gof(args) -> int:
-    manifest = RunManifest(command="gof", version=__version__)
+def cmd_gof(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
     manifest.params.update(input=args.input, month=month, bootstrap=args.bootstrap,
                            seed=args.seed, jobs=args.jobs)
     result = gof.bootstrap_pvalue(dist, n_bootstrap=args.bootstrap, seed=args.seed, jobs=args.jobs)
-    out = _outdir(args)
-    write_table(
-        out / "gof.csv",
+    return _write_outputs(args, manifest, [(
+        "gof.csv",
         ["month", "rho_hat", "ks", "p_value", "B", "seed"],
         [(month, result.rho_hat, result.ks_observed, result.p_value,
           result.n_bootstrap, result.seed)],
-        metadata={**result.metadata, "n_failed": result.n_failed},
-    )
-    manifest.outputs.append("gof.csv")
-    manifest.write(out / "gof.manifest.txt")
-    return EXIT_OK
+        {**result.metadata, "n_failed": result.n_failed},
+    )])
 
 
-def cmd_em(args) -> int:
-    manifest = RunManifest(command="em", version=__version__)
+def cmd_em(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
     manifest.params.update(input=args.input, month=month, epsilon=args.epsilon,
                            max_iterations=args.max_iterations)
     cfg = em.EMConfig(epsilon=args.epsilon, max_iterations=args.max_iterations)
     result = em.em_fit(dist, cfg)
-    out = _outdir(args)
-    write_table(
-        out / "em.csv",
+    # written before the convergence check, so exit 4 leaves the partial result
+    code = _write_outputs(args, manifest, [(
+        "em.csv",
         ["month", "rho_col", "observed_singletons", "latent_singletons", "iterations", "converged"],
         [(month, result.rho_col, result.observed_singletons, result.latent_singletons,
           result.iterations, result.converged)],
-    )
-    manifest.outputs.append("em.csv")
-    manifest.write(out / "em.manifest.txt")
+        None,
+    )])
     if not result.converged:
         raise ConvergenceError("EM did not converge within the iteration cap", best=result)
-    return EXIT_OK
+    return code
 
 
-def cmd_p0(args) -> int:
-    manifest = RunManifest(command="p0", version=__version__)
+def cmd_p0(args, manifest: RunManifest) -> int:
     log = _load_events(args.events, manifest)
     mask = _load_mask(args, manifest)
     manifest.params.update(events=args.events, variant=args.variant)
@@ -337,28 +302,22 @@ def cmd_p0(args) -> int:
         counts = snapshots.entry_exit_counts(log, (lo, hi))
         months, new_p, new_d = counts.months, counts.new_projects, counts.new_developers
     series = estimators.p0_series(months, new_p, new_d, variant=args.variant, mask=mask)
-    out = _outdir(args)
-    write_table(
-        out / "p0.csv",
+    return _write_outputs(args, manifest, [(
+        "p0.csv",
         ["month", "g1", "gtot", "p0", "above_one"],
         [
             (int(m), g1, gt, v, int(v > 1.0))
             for m, g1, gt, v in zip(series.months, series.g1, series.gtot, series.values)
         ],
-        metadata={"variant": series.variant, "median": series.median},
-    )
-    manifest.outputs.append("p0.csv")
-    manifest.write(out / "p0.manifest.txt")
-    return EXIT_OK
+        {"variant": series.variant, "median": series.median},
+    )])
 
 
-def cmd_rateeq(args) -> int:
-    manifest = RunManifest(command="rateeq", version=__version__)
+def cmd_rateeq(args, manifest: RunManifest) -> int:
     record_at = sorted(args.record_at) if args.record_at else [args.steps]
     manifest.params.update(p0=args.p0, steps=args.steps, x_trunc=args.x_trunc,
                            record_at=",".join(map(str, record_at)))
     states = master.iterate_master(args.p0, args.steps, record_at=record_at, x_trunc=args.x_trunc)
-    out = _outdir(args)
     rows = []
     over_rows = []
     for st in states:
@@ -366,13 +325,11 @@ def cmd_rateeq(args) -> int:
             if value > 0.0:
                 rows.append((st.N, x0, value))
         over_rows.append((st.N, st.overflow_count, st.overflow_mass, st.total_mass))
-    write_table(out / "rateeq.csv", ["N", "x", "n"], rows,
-                metadata={"p0": args.p0, "x_trunc": args.x_trunc})
-    write_table(out / "rateeq_overflow.csv",
-                ["N", "overflow_count", "overflow_mass", "total_mass"], over_rows)
-    manifest.outputs.extend(["rateeq.csv", "rateeq_overflow.csv"])
-    manifest.write(out / "rateeq.manifest.txt")
-    return EXIT_OK
+    return _write_outputs(args, manifest, [
+        ("rateeq.csv", ["N", "x", "n"], rows, {"p0": args.p0, "x_trunc": args.x_trunc}),
+        ("rateeq_overflow.csv", ["N", "overflow_count", "overflow_mass", "total_mass"],
+         over_rows, None),
+    ])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,8 +411,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    manifest = RunManifest(command=args.command, version=__version__)
     try:
-        return args.func(args)
+        return args.func(args, manifest)
     except ConvergenceError as exc:
         print(f"forgesim {args.command}: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

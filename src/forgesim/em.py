@@ -24,7 +24,8 @@ import numpy as np
 
 from . import yule
 from .distributions import SizeDistribution
-from .errors import AlignmentError, DegenerateDataError, DomainError, require_integer
+from .errors import (AlignmentError, DegenerateDataError, DomainError, require_integer,
+                     require_months)
 
 __all__ = ["EMConfig", "EMResult", "em_fit", "predicted_collaborative_entries"]
 
@@ -123,7 +124,7 @@ def predicted_collaborative_entries(
     Masked months are dropped from the output; the two inputs must otherwise
     cover exactly the same months.
     """
-    mask = mask or frozenset()
+    mask = require_months("mask", () if mask is None else mask)
     months_em = set(em_results) - mask
     months_nd = set(new_developers) - mask
     if months_em != months_nd:

@@ -40,3 +40,9 @@ def require_integer(name: str, value) -> int:
     if not is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_months(name: str, months) -> frozenset[int]:
+    """An iterable of months as a frozenset of ints; a month that
+    require_integer rejects raises DomainError."""
+    return frozenset(require_integer(f"every month in {name}", month) for month in months)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateDataError, DomainError, require_integer
+from .errors import (AlignmentError, DegenerateDataError, DomainError, require_integer,
+                     require_months)
 from .events import MembershipEventLog
 from .snapshots import SnapshotSummary, _month_bounds, _tally, snapshot_at
 
@@ -59,7 +60,7 @@ def fit_exponential_growth(
     mask: frozenset[int] | set[int] | None = None,
 ) -> GrowthFit:
     """Least-squares slope of ln X(t) against t, i.e. X(t) ~ exp(omega t)."""
-    mask = mask or frozenset()
+    mask = require_months("mask", () if mask is None else mask)
     months = np.asarray(months, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if months.shape != values.shape:
@@ -133,7 +134,7 @@ def relative_entry_rates(
     mask: frozenset[int] | set[int] | None = None,
 ) -> tuple[EntryRateSeries, EntryRateSeries]:
     """(projects, developers) relative monthly entry rate series."""
-    mask = mask or frozenset()
+    mask = require_months("mask", () if mask is None else mask)
     months = [s.month for s in summaries]
     projects = _entry_rate(months, [s.n_projects for s in summaries], mask)
     developers = _entry_rate(months, [s.n_developers for s in summaries], mask)
@@ -196,7 +197,7 @@ def size_dependent_growth(
     window_months = require_integer("window_months", window_months)
     if window_months < 1:
         raise DomainError(f"window_months must be >= 1, got {window_months}")
-    mask = mask or frozenset()
+    mask = require_months("mask", () if mask is None else mask)
     lo, hi = log.month_range
     if hi - lo < window_months:
         raise DomainError(f"log spans {hi - lo} months, need >= {window_months}")
@@ -279,7 +280,7 @@ def p0_series(
     """
     if variant not in ("all", "collaborative"):
         raise DomainError(f"variant must be 'all' or 'collaborative', got {variant!r}")
-    mask = mask or frozenset()
+    mask = require_months("mask", () if mask is None else mask)
     months = np.asarray(months, dtype=np.int64)
     g1 = np.asarray(delta_projects, dtype=np.float64)
     gtot = np.asarray(delta_developers, dtype=np.float64)
@@ -455,7 +456,7 @@ def interarrival_fit(
     project, joined = log.project[first][order], log.start[first][order]
     heads = np.flatnonzero(np.diff(project, prepend=-1))
     n_joins = np.diff(np.append(heads, project.size))
-    in_cohort = np.isin(joined[heads], list(set(cohort_months)))
+    in_cohort = np.isin(joined[heads], list(require_months("cohort_months", cohort_months)))
     grew = heads[in_cohort & (n_joins >= 2)]
     waits = (joined[grew + 1] - joined[grew]) * days_per_month
     censored = int(np.count_nonzero(in_cohort & (n_joins < 2)))

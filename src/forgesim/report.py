@@ -90,18 +90,14 @@ class RunManifest:
     params: dict = field(default_factory=dict)
     input_digests: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
-    duration_s: float | None = None
     _started: float = field(default_factory=time.monotonic, repr=False)
 
     def add_input(self, path: str | Path) -> None:
         self.input_digests[str(path)] = sha256_file(path)
 
-    def finish(self) -> None:
-        self.duration_s = time.monotonic() - self._started
-
     def write(self, path: str | Path) -> Path:
-        if self.duration_s is None:
-            self.finish()
+        """Write the manifest; its duration runs from creation to this call."""
+        duration_s = time.monotonic() - self._started
         path = Path(path)
         lines = [f"command={self.command}", f"version={self.version}"]
         for key in sorted(self.params):
@@ -110,6 +106,6 @@ class RunManifest:
             lines.append(f"input.sha256.{name}={self.input_digests[name]}")
         for name in self.outputs:
             lines.append(f"output={name}")
-        lines.append(f"duration_s={self.duration_s:.3f}")
+        lines.append(f"duration_s={duration_s:.3f}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path

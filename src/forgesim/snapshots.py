@@ -103,11 +103,15 @@ def _tally(months: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _month_bounds(log: MembershipEventLog, months: tuple[int, int] | None) -> tuple[int, int]:
-    """The (lo, hi) bounds of months as ints, or the log's month range for None."""
+    """The (lo, hi) bounds of months as ints, or the log's month range for None;
+    an inverted range raises DomainError."""
     if months is None:
         return log.month_range
     lo, hi = months
-    return require_integer("months[0]", lo), require_integer("months[1]", hi)
+    lo, hi = require_integer("months[0]", lo), require_integer("months[1]", hi)
+    if hi < lo:
+        raise DomainError("empty month range")
+    return lo, hi
 
 
 def entry_exit_counts(
@@ -121,8 +125,6 @@ def entry_exit_counts(
     never removed.
     """
     lo, hi = _month_bounds(log, months)
-    if hi < lo:
-        raise DomainError("empty month range")
 
     # an entity's last stop is OPEN, which no range holds, while a link is open
     last = [np.full(len(ids), np.iinfo(np.int64).min)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forgesim import __version__
 from forgesim.cli import main
-from forgesim.report import read_table
+from forgesim.report import read_table, sha256_file
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "events_200.csv")
@@ -269,6 +271,66 @@ class TestRateeq:
         assert main(args + ["--output-dir", str(a)]) == 0
         assert main(args + ["--output-dir", str(b)]) == 0
         assert table_bytes(a / "rateeq.csv") == table_bytes(b / "rateeq.csv")
+
+
+_ANALYZE_TABLES = ["summary.csv", "size_distribution.csv", "degree_distribution.csv",
+                   "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"]
+
+
+class TestOutputContract:
+    """Every command writes its tables, then <command>.manifest.txt listing them."""
+
+    @pytest.mark.parametrize("argv, inputs, tables", [
+        (["simulate", "--p0", "0.5", "--steps", "200", "--seed", "1", "--replicas", "2"], [],
+         ["trace_replica_000.csv", "trace_replica_001.csv", "mean_distribution.csv"]),
+        (["analyze", FIXTURE, "--gap-mask", "MASK"], [FIXTURE, "MASK"], _ANALYZE_TABLES),
+        (["fit", "TABLE"], ["TABLE"], ["fit.csv"]),
+        (["gof", "TABLE", "--bootstrap", "100", "--seed", "1"], ["TABLE"], ["gof.csv"]),
+        (["em", "TABLE"], ["TABLE"], ["em.csv"]),
+        (["p0", FIXTURE], [FIXTURE], ["p0.csv"]),
+        (["rateeq", "--p0", "0.5", "--steps", "100", "--record-at", "50"], [],
+         ["rateeq.csv", "rateeq_overflow.csv"]),
+    ], ids=["simulate", "analyze", "fit", "gof", "em", "p0", "rateeq"])
+    def test_manifest_lists_what_was_read_and_written(self, tmp_path, yule_sample_file, argv,
+                                                      inputs, tables):
+        mask = tmp_path / "mask.txt"
+        mask.write_text("30\n")
+        files = {"MASK": str(mask), "TABLE": yule_sample_file}
+        argv = [files.get(a, a) for a in argv]
+        inputs = [files.get(a, a) for a in inputs]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 0
+
+        command = argv[0]
+        lines = (out / f"{command}.manifest.txt").read_text().splitlines()
+        assert lines[:2] == [f"command={command}", f"version={__version__}"]
+        params = [line for line in lines if line.startswith("param.")]
+        assert params and lines[2:2 + len(params)] == params
+        keys = [line.partition("=")[0] for line in params]
+        assert keys == sorted(keys)
+        rest = lines[2 + len(params):]
+        assert rest[:len(inputs)] == [f"input.sha256.{path}={sha256_file(path)}"
+                                      for path in sorted(inputs)]
+        assert rest[len(inputs):-1] == [f"output={name}" for name in tables]
+        assert re.fullmatch(r"duration_s=[0-9]+\.[0-9]{3}", rest[-1])
+        assert sorted(p.name for p in out.iterdir()) == sorted(tables + [f"{command}.manifest.txt"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["p0", "ONE_MONTH", "--gap-mask", "MASK"], "no usable months"),
+        (["rateeq", "--p0", "1.5", "--steps", "10"], "p0 must lie in"),
+        (["gof", "TABLE", "--bootstrap", "50", "--seed", "1"], "n_bootstrap must be >= 100"),
+        (["em", "TABLE", "--epsilon", "0"], "epsilon must be positive"),
+    ], ids=["p0", "rateeq", "gof", "em"])
+    def test_exit_2_creates_no_output_dir(self, tmp_path, yule_sample_file, capsys, argv,
+                                          message):
+        events, mask = tmp_path / "one.csv", tmp_path / "mask.txt"
+        events.write_text("d1,p1,5,6\n")
+        mask.write_text("5\n")
+        files = {"ONE_MONTH": str(events), "MASK": str(mask), "TABLE": yule_sample_file}
+        out = tmp_path / "out"
+        assert main([files.get(a, a) for a in argv] + ["--output-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 _INTEGER_FLAGS = [

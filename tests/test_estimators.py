@@ -21,6 +21,7 @@ from forgesim import (
     run,
     size_dependent_growth,
     snapshot_at,
+    summarize,
 )
 from forgesim.estimators import DAYS_PER_MONTH, _log2_bins
 from log2_bins_oracle import oracle_log2_bins
@@ -90,6 +91,26 @@ class TestEntryRates:
         assert rates_p.q10 <= rates_p.median <= rates_p.q90
         assert 5 not in rates_p.months
         assert 6 not in rates_p.months  # needs month 5 as its base
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8),
+                      st.none() | st.integers(1, 6)),
+            min_size=1, max_size=25, unique_by=lambda r: r[:3],
+        ),
+        mask=st.frozensets(st.integers(0, 14), max_size=4),
+    )
+    def test_project_and_developer_series_share_months(self, rows, mask):
+        log = make_log([(f"d{d}", f"p{p}", entry, None if stay is None else entry + stay)
+                        for d, p, entry, stay in rows])
+        lo, hi = log.month_range
+        summaries = [summarize(snapshot_at(log, m)) for m in range(lo, hi + 1) if m not in mask]
+        try:
+            rates_p, rates_d = relative_entry_rates(summaries, mask)
+        except DegenerateDataError:
+            return
+        assert np.array_equal(rates_p.months, rates_d.months)
 
 
 def growth_fixture(increment_of, sizes=(1, 2, 4, 8, 16), per_size=25):

@@ -18,16 +18,23 @@ from forgesim import (
     classify_collaborative,
     collaborative_entry_counts,
     entry_exit_counts,
+    fit_exponential_growth,
+    interarrival_fit,
+    p0_series,
+    predicted_collaborative_entries,
+    relative_entry_rates,
     replicate,
     sample,
     size_dependent_growth,
     snapshot_at,
+    summarize,
 )
 from forgesim.yule import sample_counts
 
 DIST = SizeDistribution.from_sizes(sample(3.0, 200, np.random.default_rng(5)))
 PARAMS = SimParams(p0=0.5, n_steps=20, seed=1)
 LOG = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30), ("d4", "p3", 1)])
+SUMMARIES = [summarize(snapshot_at(LOG, m)) for m in range(6)]
 
 
 def rng():
@@ -82,6 +89,26 @@ def test_months_and_windows_follow_the_integer_rule(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: interarrival_fit(LOG, [True]), "cohort_months"),
+    (lambda: interarrival_fit(LOG, [1.0]), "cohort_months"),
+    (lambda: interarrival_fit(LOG, [1.5]), "cohort_months"),
+    (lambda: p0_series([1, 2, 3], [1, 1, 1], [2, 2, 2], mask={True}), "mask"),
+    (lambda: p0_series([1, 2, 3], [1, 1, 1], [2, 2, 2], mask={1.5}), "mask"),
+    (lambda: fit_exponential_growth([1, 2, 3, 4], [1, 2, 4, 8], mask={True}), "mask"),
+    (lambda: relative_entry_rates(SUMMARIES, mask={True}), "mask"),
+    (lambda: size_dependent_growth(LOG, window_months=2, mask={1.5}), "mask"),
+    (lambda: predicted_collaborative_entries({}, {}, mask={True}), "mask"),
+], ids=[
+    "cohort=[True]", "cohort=[1.0]", "cohort=[1.5]", "p0-mask={True}", "p0-mask={1.5}",
+    "growth-mask={True}", "entry_rates-mask={True}", "size_growth-mask={1.5}",
+    "predicted-mask={True}",
+])
+def test_month_sets_follow_the_integer_rule(call, name):
+    with pytest.raises(DomainError, match=rf"^every month in {name} must be an integer"):
+        call()
+
+
 def test_numpy_integer_months_and_windows_are_accepted():
     snap = snapshot_at(LOG, np.int64(2))
     assert (type(snap.month), snap.month) == (int, 2)
@@ -92,3 +119,7 @@ def test_numpy_integer_months_and_windows_are_accepted():
     want = collaborative_entry_counts(LOG, 5, months=(0, 5))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert classify_collaborative(LOG, np.int64(5)) == classify_collaborative(LOG, 5)
+    want = p0_series([1, 2, 3], [1, 1, 1], [2, 2, 4], mask={2})
+    for mask in ({np.int64(2)}, np.array([2, 2])):
+        got = p0_series([1, 2, 3], [1, 1, 1], [2, 2, 4], mask=mask)
+        assert got.months.tolist() == want.months.tolist() == [1, 3]

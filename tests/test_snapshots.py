@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from event_rows import Row, active_pairs, make_log
 from forgesim import (
     DomainError,
+    collaborative_entry_counts,
     developer_degree_distribution,
     entry_exit_counts,
     project_size_distribution,
@@ -197,3 +198,17 @@ class TestEntryExit:
     def test_empty_range_rejected(self):
         with pytest.raises(DomainError):
             entry_exit_counts(make_log([("d", "p", 1)]), (5, 4))
+
+    @pytest.mark.parametrize("read", [
+        lambda log: entry_exit_counts(log, (4, 2)),
+        lambda log: collaborative_entry_counts(log, 5, months=(4, 2)),
+    ], ids=["entry_exit_counts", "collaborative_entry_counts"])
+    def test_inverted_range_rejected_by_both_readers(self, read):
+        log = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30)])
+        with pytest.raises(DomainError, match="^empty month range$"):
+            read(log)
+
+    def test_range_past_observation_end_is_clamped_not_rejected(self):
+        log = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30)])
+        months, new_p, new_d = collaborative_entry_counts(log, 3, months=(4, 6))
+        assert months.size == new_p.size == new_d.size == 0
