@@ -178,15 +178,9 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         alpha=args.alpha,
         checkpoints=tuple(args.checkpoint_at) if args.checkpoint_at else None,
     )
-    manifest.params.update(
-        p0=args.p0, steps=args.steps, alpha=args.alpha, replicas=args.replicas,
-        seed=args.seed, generator=simulate.GENERATOR_ID,
-    )
+    manifest.params["generator"] = simulate.GENERATOR_ID
     result = simulate.replicate(params, args.replicas, jobs=args.jobs)
-    meta = {
-        "p0": args.p0, "steps": args.steps, "alpha": args.alpha,
-        "seed": args.seed, "generator": simulate.GENERATOR_ID,
-    }
+    meta = {key: manifest.params[key] for key in ("p0", "steps", "alpha", "seed", "generator")}
     mean = result.mean_distribution
     return _write_outputs(args, manifest, [
         *((f"trace_replica_{r:03d}.csv", ["checkpoint_step", "size", "count"], _trace_rows(trace),
@@ -207,7 +201,7 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
     if (month := next(outside, None)) is not None:
         raise UsageError(f"bad month range {args.months!r}: month {month} outside observed "
                          f"range [{first}, {last}]")
-    manifest.params.update(events=args.events, months=f"{lo}:{hi}")
+    manifest.params["months"] = f"{lo}:{hi}"
 
     summaries = []
     summary_rows, size_rows, degree_rows = [], [], []
@@ -247,7 +241,6 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
 
 def cmd_fit(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
-    manifest.params.update(input=args.input, month=month)
     fit = yule.mle_rho(dist)
     return _write_outputs(args, manifest, [(
         "fit.csv",
@@ -260,8 +253,6 @@ def cmd_fit(args, manifest: RunManifest) -> int:
 
 def cmd_gof(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
-    manifest.params.update(input=args.input, month=month, bootstrap=args.bootstrap,
-                           seed=args.seed, jobs=args.jobs)
     result = gof.bootstrap_pvalue(dist, n_bootstrap=args.bootstrap, seed=args.seed, jobs=args.jobs)
     return _write_outputs(args, manifest, [(
         "gof.csv",
@@ -274,8 +265,6 @@ def cmd_gof(args, manifest: RunManifest) -> int:
 
 def cmd_em(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
-    manifest.params.update(input=args.input, month=month, epsilon=args.epsilon,
-                           max_iterations=args.max_iterations)
     cfg = em.EMConfig(epsilon=args.epsilon, max_iterations=args.max_iterations)
     result = em.em_fit(dist, cfg)
     # written before the convergence check, so exit 4 leaves the partial result
@@ -294,7 +283,6 @@ def cmd_em(args, manifest: RunManifest) -> int:
 def cmd_p0(args, manifest: RunManifest) -> int:
     log = _load_events(args.events, manifest)
     mask = _load_mask(args, manifest)
-    manifest.params.update(events=args.events, variant=args.variant)
     lo, hi = log.month_range
     if args.variant == "collaborative":
         months, new_p, new_d = estimators.collaborative_entry_counts(log, observation_end=hi)
@@ -315,8 +303,6 @@ def cmd_p0(args, manifest: RunManifest) -> int:
 
 def cmd_rateeq(args, manifest: RunManifest) -> int:
     record_at = sorted(args.record_at) if args.record_at else [args.steps]
-    manifest.params.update(p0=args.p0, steps=args.steps, x_trunc=args.x_trunc,
-                           record_at=",".join(map(str, record_at)))
     states = master.iterate_master(args.p0, args.steps, record_at=record_at, x_trunc=args.x_trunc)
     rows = []
     over_rows = []
@@ -412,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     manifest = RunManifest(command=args.command, version=__version__)
+    # the parsed flags; a command adds only what it observes
+    manifest.params.update((key, value) for key, value in vars(args).items()
+                           if key not in ("command", "func", "output_dir"))
     try:
         return args.func(args, manifest)
     except ConvergenceError as exc:

@@ -46,3 +46,13 @@ def require_months(name: str, months) -> frozenset[int]:
     """An iterable of months as a frozenset of ints; a month that
     require_integer rejects raises DomainError."""
     return frozenset(require_integer(f"every month in {name}", month) for month in months)
+
+
+def require_month_array(name: str, months) -> np.ndarray:
+    """A sequence of months as an int64 array, in order and with repeats; a
+    month that require_integer rejects raises DomainError. An integer numpy
+    array passes as it is."""
+    if not (isinstance(months, np.ndarray) and months.dtype.kind in "iu"):
+        for month in months:
+            require_integer(f"every month in {name}", month)
+    return np.asarray(months, dtype=np.int64)

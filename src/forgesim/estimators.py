@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AlignmentError, DegenerateDataError, DomainError, require_integer,
-                     require_months)
-from .events import MembershipEventLog
+                     require_month_array, require_months)
+from .events import MembershipEventLog, _reach
 from .snapshots import SnapshotSummary, _month_bounds, _tally, snapshot_at
 
 __all__ = [
@@ -61,7 +61,7 @@ def fit_exponential_growth(
 ) -> GrowthFit:
     """Least-squares slope of ln X(t) against t, i.e. X(t) ~ exp(omega t)."""
     mask = require_months("mask", () if mask is None else mask)
-    months = np.asarray(months, dtype=np.float64)
+    months = require_month_array("months", months).astype(np.float64)
     values = np.asarray(values, dtype=np.float64)
     if months.shape != values.shape:
         raise DomainError("months and values must have equal length")
@@ -197,6 +197,9 @@ def size_dependent_growth(
     window_months = require_integer("window_months", window_months)
     if window_months < 1:
         raise DomainError(f"window_months must be >= 1, got {window_months}")
+    min_bin_count = require_integer("min_bin_count", min_bin_count)
+    if min_bin_count < 1:
+        raise DomainError(f"min_bin_count must be >= 1, got {min_bin_count}")
     mask = require_months("mask", () if mask is None else mask)
     lo, hi = log.month_range
     if hi - lo < window_months:
@@ -281,7 +284,7 @@ def p0_series(
     if variant not in ("all", "collaborative"):
         raise DomainError(f"variant must be 'all' or 'collaborative', got {variant!r}")
     mask = require_months("mask", () if mask is None else mask)
-    months = np.asarray(months, dtype=np.int64)
+    months = require_month_array("months", months)
     g1 = np.asarray(delta_projects, dtype=np.float64)
     gtot = np.asarray(delta_developers, dtype=np.float64)
     if not (months.size == g1.size == gtot.size):
@@ -315,12 +318,16 @@ class ProjectLabel:
 
 def _collaborative(log: MembershipEventLog, observation_end: int) -> np.ndarray:
     """Per project code, whether the project reaches size >= 2 by observation_end."""
-    n = len(log.project_ids)
-    ever = np.zeros(n, dtype=bool)
-    # sizes change only at start and stop months, so only those are checked
-    changes = np.unique(np.concatenate([log.start, log.stop]))
-    for month in changes[changes <= observation_end]:
-        ever |= np.bincount(log.project[log.active(month)], minlength=n) >= 2
+    # With a project's rows in start order, its size reaches 2 exactly when a
+    # non-empty row starts before the reach of the rows before it (a pair's
+    # rows never overlap, so the two rows hold two developers), and it does so
+    # in that row's start month.
+    order = np.lexsort((log.start, log.project))
+    project, start, stop = log.project[order], log.start[order], log.stop[order]
+    new_project = np.diff(project, prepend=-1) != 0
+    joins = ~new_project & (start < np.roll(_reach(stop, new_project), 1))
+    ever = np.zeros(len(log.project_ids), dtype=bool)
+    ever[project[joins & (start < stop) & (start <= observation_end)]] = True
     return ever
 
 
@@ -415,6 +422,12 @@ def fit_interarrival_waits(
     its reciprocal is the factor correcting right-censored classification
     counts. A degenerate fraction of 0 flags the sample as non-exponential.
     """
+    n_censored = require_integer("n_censored", n_censored)
+    if n_censored < 0:
+        raise DomainError(f"n_censored must be >= 0, got {n_censored}")
+    min_waits = require_integer("min_waits", min_waits)
+    if min_waits < 1:
+        raise DomainError(f"min_waits must be >= 1, got {min_waits}")
     waits = np.asarray(waits_days, dtype=np.float64)
     if waits.size < min_waits:
         raise DegenerateDataError(f"need >= {min_waits} uncensored waits, got {waits.size}")
@@ -431,7 +444,7 @@ def fit_interarrival_waits(
         prob_before_mean=prob,
         censor_factor=1.0 / prob if plausible else float("inf"),
         n_waits=int(waits.size),
-        n_censored=int(n_censored),
+        n_censored=n_censored,
         exponential_plausible=plausible,
     )
 
@@ -449,6 +462,9 @@ def interarrival_fit(
     days_per_month. Projects that never gain a second developer are counted
     as censored and excluded from the fit.
     """
+    min_waits = require_integer("min_waits", min_waits)
+    if min_waits < 1:
+        raise DomainError(f"min_waits must be >= 1, got {min_waits}")
     # a pair's first join is its first row (rows are sorted by project,
     # developer, start); a rejoining founder is not a second developer
     first = (np.diff(log.project, prepend=-1) != 0) | (np.diff(log.developer, prepend=-1) != 0)

@@ -91,6 +91,15 @@ def _coded(values: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
     return ids, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
 
+def _reach(stop: np.ndarray, new_group: np.ndarray) -> np.ndarray:
+    """The running max of stop over each group of consecutive rows, a group
+    starting at each True of new_group. The running max is taken on dense stop
+    ranks offset by group, so it never crosses from one group into the next."""
+    stops, rank = np.unique(stop, return_inverse=True)
+    offset = (np.cumsum(new_group) - 1) * stops.size
+    return stops[np.maximum.accumulate(offset + rank) - offset]
+
+
 @dataclass(frozen=True, eq=False)
 class MembershipEventLog:
     """A membership-event log as int-coded, pair-merged intervals.
@@ -155,13 +164,9 @@ class MembershipEventLog:
         if first.size:
             span = int(start.min()), int(np.where(stop == OPEN, start, stop).max())
         # A row opens a new merged interval unless it starts no later than the
-        # reach of its pair so far (the running max of the pair's earlier
-        # stops). The running max is taken on dense stop ranks offset by pair,
-        # so it never crosses from one pair into the next.
+        # reach of its pair so far (the running max of the pair's earlier stops).
         new_pair = (np.diff(dev, prepend=-1) != 0) | (np.diff(proj, prepend=-1) != 0)
-        stops, rank = np.unique(stop, return_inverse=True)
-        offset = (np.cumsum(new_pair) - 1) * stops.size
-        reach = stops[np.maximum.accumulate(offset + rank) - offset]
+        reach = _reach(stop, new_pair)
         opens = new_pair | (start > np.roll(reach, 1))
         firsts = [np.full(len(ids), OPEN) for ids in (developer_ids, project_ids)]
         np.minimum.at(firsts[0], dev, start)

@@ -82,7 +82,8 @@ class RunManifest:
 
     Re-running the command with the same parameter set and inputs reproduces
     the numeric output files byte for byte; the manifest itself records
-    wall-clock duration, which naturally varies.
+    wall-clock duration, which naturally varies. A None param is written
+    as an empty value and a list param comma-joined in its order.
     """
 
     command: str
@@ -101,7 +102,10 @@ class RunManifest:
         path = Path(path)
         lines = [f"command={self.command}", f"version={self.version}"]
         for key in sorted(self.params):
-            lines.append(f"param.{key}={format_value(self.params[key])}")
+            value = self.params[key]
+            if isinstance(value, list):
+                value = ",".join(map(format_value, value))
+            lines.append(f"param.{key}={'' if value is None else format_value(value)}")
         for name in sorted(self.input_digests):
             lines.append(f"input.sha256.{name}={self.input_digests[name]}")
         for name in self.outputs:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from forgesim import __version__
-from forgesim.cli import main
+from forgesim.cli import _build_parser, main
 from forgesim.report import read_table, sha256_file
 
 DATA = Path(__file__).parent / "data"
@@ -277,20 +277,34 @@ _ANALYZE_TABLES = ["summary.csv", "size_distribution.csv", "degree_distribution.
                    "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"]
 
 
+# one run of each command: (argv, the inputs it reads, the tables it writes)
+_RUNS = pytest.mark.parametrize("argv, inputs, tables", [
+    (["simulate", "--p0", "0.5", "--steps", "200", "--seed", "1", "--replicas", "2"], [],
+     ["trace_replica_000.csv", "trace_replica_001.csv", "mean_distribution.csv"]),
+    (["analyze", FIXTURE, "--gap-mask", "MASK"], [FIXTURE, "MASK"], _ANALYZE_TABLES),
+    (["fit", "TABLE"], ["TABLE"], ["fit.csv"]),
+    (["gof", "TABLE", "--bootstrap", "100", "--seed", "1"], ["TABLE"], ["gof.csv"]),
+    (["em", "TABLE"], ["TABLE"], ["em.csv"]),
+    (["p0", FIXTURE], [FIXTURE], ["p0.csv"]),
+    (["rateeq", "--p0", "0.5", "--steps", "100", "--record-at", "50"], [],
+     ["rateeq.csv", "rateeq_overflow.csv"]),
+], ids=["simulate", "analyze", "fit", "gof", "em", "p0", "rateeq"])
+
+# the params a command observes, beside its parsed flags
+_OBSERVED = {"simulate": {"generator"}, "analyze": {"n_duplicates_dropped", "months"},
+             "p0": {"n_duplicates_dropped"}}
+
+
+def manifest_params(out: Path, command: str) -> dict[str, str]:
+    lines = (out / f"{command}.manifest.txt").read_text().splitlines()
+    return dict(line.removeprefix("param.").partition("=")[::2]
+                for line in lines if line.startswith("param."))
+
+
 class TestOutputContract:
     """Every command writes its tables, then <command>.manifest.txt listing them."""
 
-    @pytest.mark.parametrize("argv, inputs, tables", [
-        (["simulate", "--p0", "0.5", "--steps", "200", "--seed", "1", "--replicas", "2"], [],
-         ["trace_replica_000.csv", "trace_replica_001.csv", "mean_distribution.csv"]),
-        (["analyze", FIXTURE, "--gap-mask", "MASK"], [FIXTURE, "MASK"], _ANALYZE_TABLES),
-        (["fit", "TABLE"], ["TABLE"], ["fit.csv"]),
-        (["gof", "TABLE", "--bootstrap", "100", "--seed", "1"], ["TABLE"], ["gof.csv"]),
-        (["em", "TABLE"], ["TABLE"], ["em.csv"]),
-        (["p0", FIXTURE], [FIXTURE], ["p0.csv"]),
-        (["rateeq", "--p0", "0.5", "--steps", "100", "--record-at", "50"], [],
-         ["rateeq.csv", "rateeq_overflow.csv"]),
-    ], ids=["simulate", "analyze", "fit", "gof", "em", "p0", "rateeq"])
+    @_RUNS
     def test_manifest_lists_what_was_read_and_written(self, tmp_path, yule_sample_file, argv,
                                                       inputs, tables):
         mask = tmp_path / "mask.txt"
@@ -314,6 +328,37 @@ class TestOutputContract:
         assert rest[len(inputs):-1] == [f"output={name}" for name in tables]
         assert re.fullmatch(r"duration_s=[0-9]+\.[0-9]{3}", rest[-1])
         assert sorted(p.name for p in out.iterdir()) == sorted(tables + [f"{command}.manifest.txt"])
+
+    @_RUNS
+    def test_manifest_records_every_parsed_flag(self, tmp_path, yule_sample_file, argv, inputs,
+                                                tables):
+        mask = tmp_path / "mask.txt"
+        mask.write_text("30\n")
+        argv = [{"MASK": str(mask), "TABLE": yule_sample_file}.get(a, a) for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--output-dir", str(out)]) == 0
+        flags = set(vars(_build_parser().parse_args(argv))) - {"command", "func", "output_dir"}
+        command = argv[0]
+        assert set(manifest_params(out, command)) == flags | _OBSERVED.get(command, set())
+
+    def test_runs_that_differ_in_one_flag_have_different_manifests(self, tmp_path):
+        """A checkpoint flag changes the tables, so the manifest records it."""
+        def run(name, argv, table):
+            out = tmp_path / name
+            assert main(argv + ["--output-dir", str(out)]) == 0
+            return manifest_params(out, argv[0]), table_bytes(out / table)
+
+        simulate = ["simulate", "--p0", "0.5", "--steps", "300", "--seed", "1"]
+        plain = run("sim", simulate, "trace_replica_000.csv")
+        checkpoints = run("sim_cp", simulate + ["--checkpoint-at", "300", "--checkpoint-at", "100"],
+                          "trace_replica_000.csv")
+        assert plain[1] != checkpoints[1] and plain[0] != checkpoints[0]
+        assert checkpoints[0]["checkpoint_at"] == "300,100"
+        trace = str(tmp_path / "sim_cp" / "trace_replica_000.csv")
+        last = run("fit", ["fit", trace], "fit.csv")
+        first = run("fit_cp", ["fit", trace, "--checkpoint", "100"], "fit.csv")
+        assert last[1] != first[1] and last[0] != first[0]
+        assert (last[0]["checkpoint"], first[0]["checkpoint"]) == ("", "100")
 
     @pytest.mark.parametrize("argv, message", [
         (["p0", "ONE_MONTH", "--gap-mask", "MASK"], "no usable months"),

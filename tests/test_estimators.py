@@ -23,7 +23,8 @@ from forgesim import (
     snapshot_at,
     summarize,
 )
-from forgesim.estimators import DAYS_PER_MONTH, _log2_bins
+from forgesim.estimators import DAYS_PER_MONTH, _collaborative, _log2_bins
+from collaborative_oracle import oracle_collaborative
 from log2_bins_oracle import oracle_log2_bins
 
 class TestExponentialGrowth:
@@ -325,6 +326,54 @@ class TestClassification:
         log = make_log([("d1", "p1", 0, 2), ("d2", "p1", 4), ("pad", "q", 9)])
         labels = classify_collaborative(log, observation_end=9)
         assert not labels["p1"].collaborative
+
+
+@st.composite
+def membership_chains(draw):
+    """Rows of a few pairs, each pair a chain of up to three records: a
+    record may be zero-length or open, and the next one may overlap it,
+    touch it (start at its exit) or rejoin after a gap."""
+    rows, triples = [], set()
+    for _ in range(draw(st.integers(1, 8))):
+        dev, proj = draw(st.sampled_from("abcd")), draw(st.sampled_from("pqr"))
+        entry = draw(st.integers(0, 8))
+        for _ in range(draw(st.integers(1, 3))):
+            length = draw(st.one_of(st.none(), st.integers(0, 4)))
+            if (dev, proj, entry) not in triples:
+                triples.add((dev, proj, entry))
+                rows.append((dev, proj, entry, None if length is None else entry + length))
+            if length is None:
+                break
+            entry = max(0, entry + length + draw(st.integers(-2, 3)))
+    return rows
+
+
+class TestCollaborativeReach:
+    @given(membership_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_month_loop(self, rows):
+        log = make_log(rows)
+        lo, hi = log.month_range
+        # observation_end below, inside and above the log's months
+        for end in range(lo - 2, hi + 3):
+            assert np.array_equal(_collaborative(log, end), oracle_collaborative(log, end)), end
+
+    @pytest.mark.parametrize("rows, end, want", [
+        ([("a", "p", 0, 3), ("b", "p", 3, 5)], 9, False),
+        ([("a", "p", 0, 3), ("b", "p", 2, 5)], 1, False),
+        ([("a", "p", 0, 3), ("b", "p", 2, 5)], 2, True),
+        ([("a", "p", 0, 3), ("b", "p", 2, 2)], 9, False),
+        ([("a", "p", 0, 0), ("b", "p", 0, 4)], 9, False),
+        ([("a", "p", 0, 3), ("a", "p", 3, 6), ("b", "p", 5)], 5, True),
+        ([("a", "p", 0, 3), ("a", "p", 3, 6), ("b", "p", 6)], 9, False),
+        ([("a", "p", 0, 2), ("a", "p", 4), ("b", "p", 2, 4)], 9, False),
+    ], ids=["touching", "before-overlap", "at-overlap", "zero-length-inside",
+            "zero-length-first", "rejoined-pair-overlap", "rejoined-pair-touching",
+            "alternating"])
+    def test_directed_cases(self, rows, end, want):
+        log = make_log(rows)
+        assert _collaborative(log, end).tolist() == [want]
+        assert oracle_collaborative(log, end).tolist() == [want]
 
 
 class TestCollaborativeCounts:

@@ -19,6 +19,7 @@ from forgesim import (
     collaborative_entry_counts,
     entry_exit_counts,
     fit_exponential_growth,
+    fit_interarrival_waits,
     interarrival_fit,
     p0_series,
     predicted_collaborative_entries,
@@ -35,6 +36,7 @@ DIST = SizeDistribution.from_sizes(sample(3.0, 200, np.random.default_rng(5)))
 PARAMS = SimParams(p0=0.5, n_steps=20, seed=1)
 LOG = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30), ("d4", "p3", 1)])
 SUMMARIES = [summarize(snapshot_at(LOG, m)) for m in range(6)]
+WAITS = np.arange(1.0, 31.0)
 
 
 def rng():
@@ -58,11 +60,24 @@ def rng():
     (lambda: EMConfig(max_iterations=2.5), "max_iterations"),
     (lambda: EMConfig(max_iterations=True), "max_iterations"),
     (lambda: SimParams(p0=0.5, n_steps=20, seed=1, checkpoints=()), "checkpoints"),
+    (lambda: fit_interarrival_waits(WAITS, n_censored=2.5), "n_censored"),
+    (lambda: fit_interarrival_waits(WAITS, n_censored=True), "n_censored"),
+    (lambda: fit_interarrival_waits(WAITS, n_censored=-4), "n_censored"),
+    (lambda: fit_interarrival_waits(WAITS, min_waits=29.5), "min_waits"),
+    (lambda: fit_interarrival_waits([], min_waits=0), "min_waits"),
+    (lambda: interarrival_fit(LOG, [0], min_waits=1.5), "min_waits"),
+    (lambda: interarrival_fit(LOG, [0], min_waits=0), "min_waits"),
+    (lambda: size_dependent_growth(LOG, 2, min_bin_count=1.5), "min_bin_count"),
+    (lambda: size_dependent_growth(LOG, 2, min_bin_count=True), "min_bin_count"),
+    (lambda: size_dependent_growth(LOG, 2, min_bin_count=0), "min_bin_count"),
 ], ids=[
     "sample-n=2.5", "sample-x_cache=10.7", "sample-x_cache=0", "sample_counts-x_cache=10.7",
     "sample_counts-x_cache=0", "n_bootstrap=100.5", "bootstrap-seed=1.5", "bootstrap-seed=True",
     "bootstrap-jobs=1.5", "bootstrap-jobs=0", "n_replicas=2.5", "replicate-jobs=1.5",
     "replicate-jobs=0", "max_iterations=2.5", "max_iterations=True", "checkpoints=()",
+    "n_censored=2.5", "n_censored=True", "n_censored=-4", "waits-min_waits=29.5",
+    "waits-min_waits=0", "interarrival-min_waits=1.5", "interarrival-min_waits=0",
+    "min_bin_count=1.5", "min_bin_count=True", "min_bin_count=0",
 ])
 def test_count_inputs_follow_the_integer_rule(call, name):
     with pytest.raises(DomainError, match=rf"^{name} must"):
@@ -99,10 +114,14 @@ def test_months_and_windows_follow_the_integer_rule(call, name):
     (lambda: relative_entry_rates(SUMMARIES, mask={True}), "mask"),
     (lambda: size_dependent_growth(LOG, window_months=2, mask={1.5}), "mask"),
     (lambda: predicted_collaborative_entries({}, {}, mask={True}), "mask"),
+    (lambda: p0_series([1.5, 2.7, True], [1, 1, 1], [2, 2, 2]), "months"),
+    (lambda: fit_exponential_growth([0.5, 1.5, 2.5], [1, 2, 4]), "months"),
+    (lambda: fit_exponential_growth([True, 2, 3], [1, 2, 4]), "months"),
 ], ids=[
     "cohort=[True]", "cohort=[1.0]", "cohort=[1.5]", "p0-mask={True}", "p0-mask={1.5}",
     "growth-mask={True}", "entry_rates-mask={True}", "size_growth-mask={1.5}",
-    "predicted-mask={True}",
+    "predicted-mask={True}", "p0-months=[1.5,2.7,True]", "growth-months=[0.5,1.5,2.5]",
+    "growth-months=[True,2,3]",
 ])
 def test_month_sets_follow_the_integer_rule(call, name):
     with pytest.raises(DomainError, match=rf"^every month in {name} must be an integer"):
@@ -123,3 +142,10 @@ def test_numpy_integer_months_and_windows_are_accepted():
     for mask in ({np.int64(2)}, np.array([2, 2])):
         got = p0_series([1, 2, 3], [1, 1, 1], [2, 2, 4], mask=mask)
         assert got.months.tolist() == want.months.tolist() == [1, 3]
+    for months in (np.array([1, 1, 3], np.int32), [np.int64(1), 1, np.uint8(3)]):
+        got = p0_series(months, [1, 2, 1], [2, 2, 4])
+        assert got.months.tolist() == [1, 1, 3]
+        assert got.values.tolist() == [0.5, 1.0, 0.25]
+    want = fit_exponential_growth([1, 2, 3, 4], [1, 2, 4, 8])
+    for months in (np.arange(1, 5), np.arange(1, 5, dtype=np.uint16)):
+        assert fit_exponential_growth(months, [1, 2, 4, 8]) == want

@@ -47,3 +47,13 @@ class TestManifest:
         assert f"input.sha256.{data}={sha256_file(data)}" in text
         assert "output=fit.csv" in text
         assert "duration_s=" in text
+
+    def test_none_is_empty_and_a_list_is_joined_in_order(self, tmp_path):
+        params = {"gap_mask": None, "record_at": [300, 5, 100], "alpha": 1.5, "exact": True,
+                  "one": [0.1]}
+        manifest = RunManifest(command="rateeq", version="0.1.0", params=params)
+        lines = manifest.write(tmp_path / "m.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("param.")] == [
+            "param.alpha=1.5", "param.exact=1", "param.gap_mask=", "param.one=0.1",
+            "param.record_at=300,5,100",
+        ]
