@@ -50,9 +50,7 @@ def require_months(name: str, months) -> frozenset[int]:
 
 def require_month_array(name: str, months) -> np.ndarray:
     """A sequence of months as an int64 array, in order and with repeats; a
-    month that require_integer rejects raises DomainError. An integer numpy
-    array passes as it is."""
-    if not (isinstance(months, np.ndarray) and months.dtype.kind in "iu"):
-        for month in months:
-            require_integer(f"every month in {name}", month)
-    return np.asarray(months, dtype=np.int64)
+    month that require_integer rejects raises DomainError."""
+    return np.array(
+        [require_integer(f"every month in {name}", month) for month in months], dtype=np.int64
+    )

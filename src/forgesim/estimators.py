@@ -462,9 +462,6 @@ def interarrival_fit(
     days_per_month. Projects that never gain a second developer are counted
     as censored and excluded from the fit.
     """
-    min_waits = require_integer("min_waits", min_waits)
-    if min_waits < 1:
-        raise DomainError(f"min_waits must be >= 1, got {min_waits}")
     # a pair's first join is its first row (rows are sorted by project,
     # developer, start); a rejoining founder is not a second developer
     first = (np.diff(log.project, prepend=-1) != 0) | (np.diff(log.developer, prepend=-1) != 0)
