@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, em, estimators, gof, master, simulate, snapshots, yule
 from .distributions import SizeDistribution
-from .errors import ConvergenceError, ForgesimError
+from .errors import ConvergenceError, DomainError, ForgesimError, require_integer
 from .events import _INTEGER_RE, month_index, parse_events, read_gap_mask
 from .report import RunManifest, read_table, write_table
 
@@ -62,11 +62,12 @@ def _real(text: str) -> float:
 
 
 def _jobs(text: str) -> int:
-    """Value of --jobs: an integer flag of at least 1."""
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    """Value of --jobs: an integer flag of at least 1. argparse names the flag
+    before the message, so the message drops the name."""
+    try:
+        return require_integer("jobs", _integer(text), 1)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("jobs ")) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,7 +196,8 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
     mask = _load_mask(args, manifest)
     first, last = log.month_range
     lo, hi = _parse_month_range(args.months) if args.months else (first, last)
-    # the first month the snapshot loop below would reject, found before any output is written
+    # the first month the snapshot loop below would reject, found here so that
+    # the error names the --months range it came from
     outside = (m for r in (range(lo, min(hi + 1, first)), range(max(lo, last + 1), hi + 1))
                for m in r if m not in mask)
     if (month := next(outside, None)) is not None:

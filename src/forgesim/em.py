@@ -46,10 +46,8 @@ class EMConfig:
         if not 0 < self.epsilon < np.inf:
             raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(
-            self, "max_iterations", require_integer("max_iterations", self.max_iterations)
+            self, "max_iterations", require_integer("max_iterations", self.max_iterations, 1)
         )
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)

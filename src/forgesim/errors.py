@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the integer-input rule."""
+"""Exception types shared across the toolkit, and the input rules: integers
+and their lower bounds, the founding probability p0 and the 64-bit seed."""
 
 import numpy as np
 
@@ -35,11 +36,28 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def require_integer(name: str, value) -> int:
-    """value as an int; anything is_integer rejects raises DomainError."""
+def require_integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int; a value is_integer rejects, or one below minimum, raises DomainError."""
     if not is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def require_p0(p0: float) -> float:
+    """p0 as given; a founding probability outside (0,1), or nan, raises DomainError."""
+    if not 0.0 < p0 < 1.0:
+        raise DomainError(f"p0 must lie in (0,1), got {p0}")
+    return p0
+
+
+def require_seed(seed) -> int:
+    """seed as an int; anything but an integer in [0, 2**64) raises DomainError."""
+    seed = require_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def require_months(name: str, months) -> frozenset[int]:

@@ -67,9 +67,9 @@ def fit_exponential_growth(
         raise DomainError("months and values must have equal length")
     keep = ~np.isin(months, list(mask))
     months, values = months[keep], values[keep]
-    bad = np.flatnonzero(values <= 0)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
     if bad.size:
-        raise DomainError(f"nonpositive value at month {int(months[bad[0]])}")
+        raise DomainError(f"nonpositive or non-finite value at month {int(months[bad[0]])}")
     if months.size < 3:
         raise DegenerateDataError(f"need >= 3 unmasked points, got {months.size}")
     from scipy.stats import linregress  # deferred: scipy.stats is slow to import
@@ -194,12 +194,8 @@ def size_dependent_growth(
     from the log's first month; the key is the window's start month. Windows
     containing masked months are skipped.
     """
-    window_months = require_integer("window_months", window_months)
-    if window_months < 1:
-        raise DomainError(f"window_months must be >= 1, got {window_months}")
-    min_bin_count = require_integer("min_bin_count", min_bin_count)
-    if min_bin_count < 1:
-        raise DomainError(f"min_bin_count must be >= 1, got {min_bin_count}")
+    window_months = require_integer("window_months", window_months, 1)
+    min_bin_count = require_integer("min_bin_count", min_bin_count, 1)
     mask = require_months("mask", () if mask is None else mask)
     lo, hi = log.month_range
     if hi - lo < window_months:
@@ -289,7 +285,11 @@ def p0_series(
     gtot = np.asarray(delta_developers, dtype=np.float64)
     if not (months.size == g1.size == gtot.size):
         raise AlignmentError("months, delta_projects, delta_developers must align")
-    keep = (~np.isin(months, list(mask))) & (gtot > 0)
+    keep = ~np.isin(months, list(mask))
+    bad = np.flatnonzero(keep & ~(np.isfinite(g1) & np.isfinite(gtot)))
+    if bad.size:
+        raise DomainError(f"non-finite delta at month {int(months[bad[0]])}")
+    keep &= gtot > 0
     months, g1, gtot = months[keep], g1[keep], gtot[keep]
     if months.size == 0:
         raise DegenerateDataError("no usable months for the p0 series")
@@ -422,17 +422,14 @@ def fit_interarrival_waits(
     its reciprocal is the factor correcting right-censored classification
     counts. A degenerate fraction of 0 flags the sample as non-exponential.
     """
-    n_censored = require_integer("n_censored", n_censored)
-    if n_censored < 0:
-        raise DomainError(f"n_censored must be >= 0, got {n_censored}")
-    min_waits = require_integer("min_waits", min_waits)
-    if min_waits < 1:
-        raise DomainError(f"min_waits must be >= 1, got {min_waits}")
+    n_censored = require_integer("n_censored", n_censored, 0)
+    min_waits = require_integer("min_waits", min_waits, 1)
     waits = np.asarray(waits_days, dtype=np.float64)
     if waits.size < min_waits:
         raise DegenerateDataError(f"need >= {min_waits} uncensored waits, got {waits.size}")
-    if np.any(waits < 0):
-        raise DomainError("waits must be nonnegative")
+    bad = np.flatnonzero(~(np.isfinite(waits) & (waits >= 0)))
+    if bad.size:
+        raise DomainError(f"wait {bad[0]} must be nonnegative and finite, got {waits[bad[0]]}")
     mean_days = float(waits.mean())
     if mean_days <= 0:
         raise DegenerateDataError("all waits are zero; no rate is identifiable")
@@ -452,14 +449,13 @@ def fit_interarrival_waits(
 def interarrival_fit(
     log: MembershipEventLog,
     cohort_months: Iterable[int],
-    days_per_month: float = DAYS_PER_MONTH,
     min_waits: int = 30,
 ) -> InterArrivalFit:
     """Fit waits (project creation -> second distinct developer) for the
     cohort of projects born in the given months.
 
     The log is month-granular, so waits are month differences scaled by
-    days_per_month. Projects that never gain a second developer are counted
+    DAYS_PER_MONTH. Projects that never gain a second developer are counted
     as censored and excluded from the fit.
     """
     # a pair's first join is its first row (rows are sorted by project,
@@ -471,6 +467,6 @@ def interarrival_fit(
     n_joins = np.diff(np.append(heads, project.size))
     in_cohort = np.isin(joined[heads], list(require_months("cohort_months", cohort_months)))
     grew = heads[in_cohort & (n_joins >= 2)]
-    waits = (joined[grew + 1] - joined[grew]) * days_per_month
+    waits = (joined[grew + 1] - joined[grew]) * DAYS_PER_MONTH
     censored = int(np.count_nonzero(in_cohort & (n_joins < 2)))
     return fit_interarrival_waits(waits, n_censored=censored, min_waits=min_waits)

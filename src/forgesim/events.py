@@ -1,6 +1,6 @@
 """Membership-event logs: parsing, validation, and month arithmetic.
 
-The event file is delimiter-separated text, one membership event per row:
+The event file is comma-separated text, one membership event per row:
 
     developer_id,project_id,entry_month,exit_month
 
@@ -225,8 +225,7 @@ def _read_text(source: str | Path | io.TextIOBase) -> str:
     return source.read()
 
 
-def parse_events(source: str | Path | io.TextIOBase, delimiter: str = ",",
-                 epoch: str = DEFAULT_EPOCH) -> ParseResult:
+def parse_events(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH) -> ParseResult:
     """Parse an event file into a validated log.
 
     Malformed rows (bad field count, unparseable months, exit before entry)
@@ -237,26 +236,24 @@ def parse_events(source: str | Path | io.TextIOBase, delimiter: str = ",",
     other row by row, with the same result.
     """
     text = _read_text(source)
-    result = _parse_regular(text, delimiter, epoch)
-    return _parse_rows(text.split("\n"), delimiter, epoch) if result is None else result
+    result = _parse_regular(text, epoch)
+    return _parse_rows(text.split("\n"), epoch) if result is None else result
 
 
-def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
+def _parse_regular(text: str, epoch: str) -> ParseResult | None:
     """The parse of a regular file, done on whole columns; None for any other file.
 
-    A file is regular when it is ASCII without CR or NUL, the delimiter is one
-    ASCII character other than whitespace, and every line after an optional
-    header holds the same number of delimiters, 2 or 3, with ids that are
-    neither empty nor padded, month tokens that parse and no exit before its
-    entry: the row loop finds no row error in such a file. Fields are read
+    A file is regular when it is ASCII without CR or NUL and every line after
+    an optional header holds the same number of commas, 2 or 3, with ids that
+    are neither empty nor padded, month tokens that parse and no exit before
+    its entry: the row loop finds no row error in such a file. Fields are read
     as fixed-width byte strings, so a file whose widest field times its line
     count exceeds its length is not regular either.
     """
-    if not (len(delimiter) == 1 and delimiter.isascii() and not delimiter.isspace()
-            and text.isascii() and "\r" not in text and "\0" not in text):
+    if not (text.isascii() and "\r" not in text and "\0" not in text):
         return None
     head = text[:text.find("\n")] if "\n" in text else text
-    is_header = tuple(f.strip() for f in head.split(delimiter)) in (_HEADER, _HEADER[:3])
+    is_header = tuple(f.strip() for f in head.split(",")) in (_HEADER, _HEADER[:3])
     skip = len(head) + 1 if is_header else 0
     body = np.frombuffer(text.encode("ascii"), np.uint8)[skip:]
     if not body.size:
@@ -264,14 +261,14 @@ def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
     ends = np.flatnonzero(body == ord("\n"))
     if body[-1] != ord("\n"):
         ends = np.append(ends, body.size)  # the last line has no newline
-    delimiters = np.flatnonzero(body == ord(delimiter))
-    per_line = np.diff(np.searchsorted(delimiters, ends), prepend=0)
+    commas = np.flatnonzero(body == ord(","))
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
     n, width = ends.size, int(per_line[0]) + 1
     if width not in (3, 4) or (per_line != width - 1).any():
         return None
     # field c of line r is body[bounds[r, c] + 1:bounds[r, c + 1]]
-    bounds = np.column_stack([np.r_[-1, ends[:-1]], delimiters.reshape(n, width - 1), ends])
-    del delimiters, per_line
+    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(n, width - 1), ends])
+    del commas, per_line
     if n * int(np.diff(bounds, axis=1).max()) > body.size:
         return None
 
@@ -303,7 +300,7 @@ def _parse_regular(text: str, delimiter: str, epoch: str) -> ParseResult | None:
         r + 1 + bool(skip), text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]))
 
 
-def _parse_rows(lines: list[str], delimiter: str, epoch: str) -> ParseResult:
+def _parse_rows(lines: list[str], epoch: str) -> ParseResult:
     """The parse of any file, one line at a time."""
     rows: list[tuple[str, str, int, int, int, str]] = []  # the fields, line number and line
     errors: list[ParseIssue] = []
@@ -315,7 +312,7 @@ def _parse_rows(lines: list[str], delimiter: str, epoch: str) -> ParseResult:
             continue
         if line_no == 1:
             line = line.removeprefix("\ufeff")  # byte-order mark some editors write
-        fields = [f.strip() for f in line.split(delimiter)]
+        fields = [f.strip() for f in line.split(",")]
         if line_no == 1 and tuple(fields) in (_HEADER, _HEADER[:3]):
             continue
         if len(fields) not in (3, 4):

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import yule
 from .distributions import SizeDistribution
-from .errors import DegenerateDataError, DomainError, require_integer
+from .errors import DegenerateDataError, DomainError, require_integer, require_seed
+from .simulate import _generator
 
 __all__ = ["GofResult", "ks_statistic", "bootstrap_pvalue"]
 
@@ -65,7 +66,7 @@ class GofResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _replica_block(args: tuple[float, int, int, int, int, int]) -> np.ndarray:
+def _replica_block(args: tuple[float, int, int, int, int]) -> np.ndarray:
     """KS distances of replicas start..stop-1, each against its own refit.
 
     Each replica is drawn straight into a histogram; the non-degenerate ones
@@ -73,11 +74,8 @@ def _replica_block(args: tuple[float, int, int, int, int, int]) -> np.ndarray:
     A degenerate replica (all singletons) reads nan; the caller counts those
     as failures.
     """
-    rho_hat, n, seed, start, stop, x_cache = args
-    hists = []
-    for b in range(start, stop):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
-        hists.append(yule.sample_counts(rho_hat, n, rng, x_cache=x_cache))
+    rho_hat, n, seed, start, stop = args
+    hists = [yule.sample_counts(rho_hat, n, _generator(seed, b)) for b in range(start, stop)]
     stats = np.full(stop - start, np.nan)
     keep = [i for i, (sizes, _) in enumerate(hists) if sizes[-1] >= 2]
     if keep:
@@ -95,7 +93,6 @@ def bootstrap_pvalue(
     n_bootstrap: int = 1000,
     seed: int = 0,
     jobs: int = 1,
-    x_cache: int = yule.DEFAULT_CDF_CACHE,
 ) -> GofResult:
     """Semi-parametric bootstrap p-value for the Yule-Simon null.
 
@@ -103,15 +100,10 @@ def bootstrap_pvalue(
     not depend on which other replicas share its batch, so the result is
     reproducible and independent of how replicas are split across jobs.
     """
-    n_bootstrap = require_integer("n_bootstrap", n_bootstrap)
-    seed = require_integer("seed", seed)
-    jobs = require_integer("jobs", jobs)
-    if n_bootstrap < 100:
-        raise DomainError("n_bootstrap must be >= 100 for a usable p-value resolution")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    # fewer than 100 replicas leave the p-value too coarse to use
+    n_bootstrap = require_integer("n_bootstrap", n_bootstrap, 100)
+    seed = require_seed(seed)
+    jobs = require_integer("jobs", jobs, 1)
     fit = yule.mle_rho(dist)
     d_obs = ks_statistic(dist, fit.rho_hat)
     n = int(round(dist.total_projects))
@@ -119,7 +111,7 @@ def bootstrap_pvalue(
     # one contiguous block of replicas per worker; serial is the one-block case
     n_blocks = min(jobs, n_bootstrap)
     bounds = [n_bootstrap * k // n_blocks for k in range(n_blocks + 1)]
-    tasks = [(fit.rho_hat, n, seed, lo, hi, x_cache) for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(fit.rho_hat, n, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks > 1:
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             stats = np.concatenate(list(pool.map(_replica_block, tasks)))

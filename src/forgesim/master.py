@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import yule
-from .errors import DomainError, require_integer
+from .errors import DomainError, require_integer, require_p0
 
 __all__ = ["MasterState", "iterate_master", "steady_state"]
 
@@ -94,14 +94,9 @@ def iterate_master(
     history at large N would be pointless memory-wise given the per-step
     states differ by O(1/N).
     """
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0 must lie in (0,1), got {p0}")
-    n_max_steps = require_integer("n_max_steps", n_max_steps)
-    T = require_integer("x_trunc", x_trunc)
-    if n_max_steps < 1:
-        raise DomainError("n_max_steps must be >= 1")
-    if T < 2:
-        raise DomainError("x_trunc must be >= 2")
+    require_p0(p0)
+    n_max_steps = require_integer("n_max_steps", n_max_steps, 1)
+    T = require_integer("x_trunc", x_trunc, 2)
 
     steps = record_at if record_at is not None else [n_max_steps]
     wanted = {require_integer("record_at", s) for s in steps}
@@ -163,15 +158,9 @@ def steady_state(p0: float, N: int, x_max: int = DEFAULT_X_TRUNC) -> MasterState
     Evaluated through the Yule-Simon pmf so the two code paths cannot drift
     apart; the overflow fields hold the exact analytic tail beyond x_max.
     """
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0 must lie in (0,1), got {p0}")
-    N = require_integer("N", N)
-    x_max = require_integer("x_max", x_max)
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    if x_max < 1:
-        raise DomainError("x_max must be >= 1")
     rho = yule.rho_from_p0(p0)
+    N = require_integer("N", N, 1)
+    x_max = require_integer("x_max", x_max, 1)
     xs = np.arange(1, x_max + 1)
     counts = N * p0 * yule.pmf(xs, rho)
     tail_count = N * p0 * yule.survival(x_max, rho)

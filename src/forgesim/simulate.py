@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import SizeDistribution
-from .errors import DomainError, require_integer
+from .errors import DomainError, require_integer, require_p0, require_seed
 
 __all__ = [
     "SimParams",
@@ -52,6 +52,8 @@ _BLOCK = 1 << 16
 
 
 def _generator(seed: int, replica: int) -> np.random.Generator:
+    """The Philox stream of one replica of a seeded run; the bootstrap draws
+    its replicas from it too."""
     seq = np.random.SeedSequence(seed, spawn_key=(replica,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -68,16 +70,11 @@ class SimParams:
     full_history: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.p0 < 1.0:
-            raise DomainError(f"p0 must lie in (0,1), got {self.p0}")
+        require_p0(self.p0)
         cps = (self.n_steps,) if self.checkpoints is None else self.checkpoints
-        object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps))
-        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        object.__setattr__(self, "n_steps", require_integer("n_steps", self.n_steps, 1))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         cps = {require_integer("checkpoint", c) for c in cps}
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not np.isfinite(self.alpha):
             raise DomainError("alpha must be finite")
         cps = tuple(sorted(cps))
@@ -277,12 +274,8 @@ def replicate(params: SimParams, n_replicas: int, jobs: int = 1) -> ReplicateRes
     by replica index, so the output is identical for any jobs count or
     execution order.
     """
-    n_replicas = require_integer("n_replicas", n_replicas)
-    jobs = require_integer("jobs", jobs)
-    if n_replicas < 1:
-        raise DomainError("n_replicas must be >= 1")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    n_replicas = require_integer("n_replicas", n_replicas, 1)
+    jobs = require_integer("jobs", jobs, 1)
     tasks = [(params, r) for r in range(n_replicas)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

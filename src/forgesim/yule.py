@@ -30,7 +30,8 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
 from .distributions import SizeDistribution
-from .errors import ConvergenceError, DegenerateDataError, DomainError, require_integer
+from .errors import (ConvergenceError, DegenerateDataError, DomainError, require_integer,
+                     require_p0)
 
 __all__ = [
     "YuleFit",
@@ -175,16 +176,6 @@ def _cdf_table(rho: float, x_cache: int) -> np.ndarray:
     return p
 
 
-def _check_draws(n, x_cache) -> tuple[int, int]:
-    """n draws and the cdf table length x_cache as ints, each at least 1."""
-    n, x_cache = require_integer("n", n), require_integer("x_cache", x_cache)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if x_cache < 1:
-        raise DomainError(f"x_cache must be >= 1, got {x_cache}")
-    return n, x_cache
-
-
 def _invert_tail(target_survival: float, rho: float, lo: int) -> int:
     """Smallest x > lo with S(x) <= target, via asymptotic guess + bisection."""
     # S(x) ~ Gamma(rho+1) x^-rho for large x
@@ -210,7 +201,7 @@ def sample(rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_
     exact over the whole support.
     """
     rho = _check_rho(rho)
-    n, x_cache = _check_draws(n, x_cache)
+    n, x_cache = require_integer("n", n, 1), require_integer("x_cache", x_cache, 1)
     table = _cdf_table(rho, x_cache)
     u = rng.random(n)
     out = np.searchsorted(table, u, side="left") + 1
@@ -231,7 +222,7 @@ def sample_counts(
     table's edges up to the largest size drawn are searched into them.
     """
     rho = _check_rho(rho)
-    n, x_cache = _check_draws(n, x_cache)
+    n, x_cache = require_integer("n", n, 1), require_integer("x_cache", x_cache, 1)
     table = _cdf_table(rho, x_cache)
     u = np.sort(rng.random(n))
     n_table = int(np.searchsorted(u, table[-1], side="right"))
@@ -251,9 +242,7 @@ def sample_counts(
 
 def rho_from_p0(p0: float) -> float:
     """rho = 1/(1-p0) for founding probability p0 in (0,1)."""
-    if not 0.0 < p0 < 1.0:
-        raise DomainError(f"p0 must lie in (0,1), got {p0}")
-    return 1.0 / (1.0 - p0)
+    return 1.0 / (1.0 - require_p0(p0))
 
 
 def p0_from_rho(rho: float) -> float:

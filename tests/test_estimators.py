@@ -55,6 +55,11 @@ class TestExponentialGrowth:
         with pytest.raises(DomainError, match="month 7"):
             fit_exponential_growth([6, 7, 8, 9], [1.0, 0.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_month(self, bad):
+        with pytest.raises(DomainError, match="non-finite value at month 7$"):
+            fit_exponential_growth([6, 7, 8, 9], [1.0, bad, 2.0, bad])
+
     def test_too_few_points(self):
         with pytest.raises(DegenerateDataError):
             fit_exponential_growth([1, 2], [1.0, 2.0])
@@ -282,6 +287,19 @@ class TestP0Series:
         with pytest.raises(DomainError):
             p0_series([1], [1], [1], variant="none")
 
+    @pytest.mark.parametrize("g1, gtot", [
+        ([1, np.nan, 1, 1], [2, 2, 2, 2]),
+        ([1, 1, 1, 1], [2, np.nan, 2, 2]),
+        ([1, np.inf, 1, 1], [2, 2, 2, 2]),
+        ([1, 1, 1, 1], [2, -np.inf, 2, 2]),
+        ([np.nan, 1, 1, 1], [2, np.inf, 2, 2]),
+    ], ids=["g1-nan", "gtot-nan", "g1-inf", "gtot--inf", "masked-first"])
+    def test_non_finite_delta_names_month(self, g1, gtot):
+        # the first unmasked month with a non-finite delta is named; a masked
+        # month is not read
+        with pytest.raises(DomainError, match="non-finite delta at month 7$"):
+            p0_series([6, 7, 8, 9], g1, gtot, mask={6})
+
 
 class TestClassification:
     def test_forever_single_is_non_collaborative(self):
@@ -420,6 +438,14 @@ class TestInterArrival:
     def test_too_small_cohort(self):
         with pytest.raises(DegenerateDataError):
             fit_interarrival_waits([10.0] * 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_negative_or_non_finite_wait_names_index(self, bad):
+        waits = [10.0] * 40
+        waits[3] = waits[9] = bad
+        message = f"^wait 3 must be nonnegative and finite, got {bad}$"
+        with pytest.raises(DomainError, match=message):
+            fit_interarrival_waits(waits)
 
     def test_rejoining_founder_is_not_a_second_developer(self):
         rows = []

@@ -300,7 +300,7 @@ def regular_files(draw):
 @settings(max_examples=200, deadline=None)
 def test_bulk_parser_matches_the_object_parser(file):
     text, epoch = file
-    assert events._parse_regular(text, ",", epoch) is not None
+    assert events._parse_regular(text, epoch) is not None
     assert_parses_like_the_oracle(text, epoch)
 
 
@@ -331,7 +331,7 @@ REGULAR = (
     (REGULAR.replace("d3,p2", "d" * 200 + ",p2"), False),  # one id wider than the file allows
 ])
 def test_one_defect_variants_parse_like_the_object_parser(text, regular):
-    assert (events._parse_regular(text, ",", DEFAULT_EPOCH) is not None) == regular
+    assert (events._parse_regular(text, DEFAULT_EPOCH) is not None) == regular
     assert_parses_like_the_oracle(text)
 
 

@@ -61,18 +61,18 @@ class TestBootstrap:
         assert a == b
 
     def test_blocks_split_anywhere_give_the_same_replicas(self):
-        whole = _replica_block((2.5, 400, 21, 0, 60, 64))
-        parts = [_replica_block((2.5, 400, 21, lo, hi, 64)) for lo, hi in ((0, 1), (1, 37), (37, 60))]
+        whole = _replica_block((2.5, 400, 21, 0, 60))
+        parts = [_replica_block((2.5, 400, 21, lo, hi)) for lo, hi in ((0, 1), (1, 37), (37, 60))]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_batched_replicas_match_one_at_a_time(self):
         # oracle: each replica drawn, refitted and scored on its own; n=3
         # makes some replicas all-singleton, which must read nan
         for n in (3, 300):
-            stats = _replica_block((3.0, n, 5, 0, 100, 1000))
+            stats = _replica_block((3.0, n, 5, 0, 100))
             for b, got in enumerate(stats):
                 gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(b,))))
-                dist = SizeDistribution.from_sizes(sample(3.0, n, gen, x_cache=1000))
+                dist = SizeDistribution.from_sizes(sample(3.0, n, gen))
                 if dist.max_value < 2:
                     assert np.isnan(got)
                 else:

@@ -2,7 +2,8 @@
 
 Each of these inputs takes Python and numpy integers only. A float, a bool,
 or an integer below the input's minimum raises a DomainError that names the
-input, before any work starts.
+input, before any work starts; the minimum's message is always
+"{name} must be >= {minimum}".
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from forgesim import (
     fit_exponential_growth,
     fit_interarrival_waits,
     interarrival_fit,
+    iterate_master,
     p0_series,
     predicted_collaborative_entries,
     relative_entry_rates,
@@ -46,41 +48,61 @@ def rng():
 @pytest.mark.parametrize("call, name", [
     (lambda: sample(3.0, 2.5, rng()), "n"),
     (lambda: sample(3.0, 10, rng(), x_cache=10.7), "x_cache"),
-    (lambda: sample(3.0, 10, rng(), x_cache=0), "x_cache"),
     (lambda: sample_counts(3.0, 10, rng(), x_cache=10.7), "x_cache"),
-    (lambda: sample_counts(3.0, 10, rng(), x_cache=0), "x_cache"),
     (lambda: bootstrap_pvalue(DIST, n_bootstrap=100.5), "n_bootstrap"),
     (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, seed=1.5), "seed"),
     (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, seed=True), "seed"),
     (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=1.5), "jobs"),
-    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=0), "jobs"),
     (lambda: replicate(PARAMS, 2.5), "n_replicas"),
     (lambda: replicate(PARAMS, 2, jobs=1.5), "jobs"),
-    (lambda: replicate(PARAMS, 2, jobs=0), "jobs"),
     (lambda: EMConfig(max_iterations=2.5), "max_iterations"),
     (lambda: EMConfig(max_iterations=True), "max_iterations"),
     (lambda: SimParams(p0=0.5, n_steps=20, seed=1, checkpoints=()), "checkpoints"),
     (lambda: fit_interarrival_waits(WAITS, n_censored=2.5), "n_censored"),
     (lambda: fit_interarrival_waits(WAITS, n_censored=True), "n_censored"),
-    (lambda: fit_interarrival_waits(WAITS, n_censored=-4), "n_censored"),
     (lambda: fit_interarrival_waits(WAITS, min_waits=29.5), "min_waits"),
-    (lambda: fit_interarrival_waits([], min_waits=0), "min_waits"),
     (lambda: interarrival_fit(LOG, [0], min_waits=1.5), "min_waits"),
-    (lambda: interarrival_fit(LOG, [0], min_waits=0), "min_waits"),
     (lambda: size_dependent_growth(LOG, 2, min_bin_count=1.5), "min_bin_count"),
     (lambda: size_dependent_growth(LOG, 2, min_bin_count=True), "min_bin_count"),
-    (lambda: size_dependent_growth(LOG, 2, min_bin_count=0), "min_bin_count"),
 ], ids=[
-    "sample-n=2.5", "sample-x_cache=10.7", "sample-x_cache=0", "sample_counts-x_cache=10.7",
-    "sample_counts-x_cache=0", "n_bootstrap=100.5", "bootstrap-seed=1.5", "bootstrap-seed=True",
-    "bootstrap-jobs=1.5", "bootstrap-jobs=0", "n_replicas=2.5", "replicate-jobs=1.5",
-    "replicate-jobs=0", "max_iterations=2.5", "max_iterations=True", "checkpoints=()",
-    "n_censored=2.5", "n_censored=True", "n_censored=-4", "waits-min_waits=29.5",
-    "waits-min_waits=0", "interarrival-min_waits=1.5", "interarrival-min_waits=0",
-    "min_bin_count=1.5", "min_bin_count=True", "min_bin_count=0",
+    "sample-n=2.5", "sample-x_cache=10.7", "sample_counts-x_cache=10.7", "n_bootstrap=100.5",
+    "bootstrap-seed=1.5", "bootstrap-seed=True", "bootstrap-jobs=1.5", "n_replicas=2.5",
+    "replicate-jobs=1.5", "max_iterations=2.5", "max_iterations=True", "checkpoints=()",
+    "n_censored=2.5", "n_censored=True", "waits-min_waits=29.5", "interarrival-min_waits=1.5",
+    "min_bin_count=1.5", "min_bin_count=True",
 ])
 def test_count_inputs_follow_the_integer_rule(call, name):
     with pytest.raises(DomainError, match=rf"^{name} must"):
+        call()
+
+
+# steady_state's N and x_max are pinned in tests/test_master.py
+@pytest.mark.parametrize("call, name, minimum", [
+    (lambda: sample(3.0, 0, rng()), "n", 1),
+    (lambda: sample(3.0, 10, rng(), x_cache=0), "x_cache", 1),
+    (lambda: sample_counts(3.0, 0, rng()), "n", 1),
+    (lambda: sample_counts(3.0, 10, rng(), x_cache=0), "x_cache", 1),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=99), "n_bootstrap", 100),
+    (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=0), "jobs", 1),
+    (lambda: SimParams(p0=0.5, n_steps=0, seed=1), "n_steps", 1),
+    (lambda: replicate(PARAMS, 0), "n_replicas", 1),
+    (lambda: replicate(PARAMS, 2, jobs=0), "jobs", 1),
+    (lambda: iterate_master(0.5, 0), "n_max_steps", 1),
+    (lambda: iterate_master(0.5, 10, x_trunc=1), "x_trunc", 2),
+    (lambda: EMConfig(max_iterations=0), "max_iterations", 1),
+    (lambda: fit_interarrival_waits(WAITS, n_censored=-4), "n_censored", 0),
+    (lambda: fit_interarrival_waits([], min_waits=0), "min_waits", 1),
+    (lambda: interarrival_fit(LOG, [0], min_waits=0), "min_waits", 1),
+    (lambda: size_dependent_growth(LOG, window_months=0), "window_months", 1),
+    (lambda: size_dependent_growth(LOG, 2, min_bin_count=0), "min_bin_count", 1),
+], ids=[
+    "sample-n=0", "sample-x_cache=0", "sample_counts-n=0", "sample_counts-x_cache=0",
+    "n_bootstrap=99", "bootstrap-jobs=0", "n_steps=0", "n_replicas=0", "replicate-jobs=0",
+    "n_max_steps=0", "x_trunc=1", "max_iterations=0", "n_censored=-4", "waits-min_waits=0",
+    "interarrival-min_waits=0", "window_months=0", "min_bin_count=0",
+])
+def test_counts_below_their_minimum_name_it(call, name, minimum):
+    with pytest.raises(DomainError, match=rf"^{name} must be >= {minimum}$"):
         call()
 
 
@@ -92,12 +114,11 @@ def test_count_inputs_follow_the_integer_rule(call, name):
     (lambda: collaborative_entry_counts(LOG, 5, months=(0.5, 3)), r"months\[0\]"),
     (lambda: entry_exit_counts(LOG, (0.5, 3)), r"months\[0\]"),
     (lambda: entry_exit_counts(LOG, (0, 3.0)), r"months\[1\]"),
-    (lambda: size_dependent_growth(LOG, window_months=0), "window_months"),
     (lambda: size_dependent_growth(LOG, window_months=2.5), "window_months"),
 ], ids=[
     "snapshot-month=2.5", "snapshot-month=True", "classify-observation_end=2.5",
     "counts-observation_end=2.5", "counts-months=(0.5,3)", "entry_exit-months=(0.5,3)",
-    "entry_exit-months=(0,3.0)", "window_months=0", "window_months=2.5",
+    "entry_exit-months=(0,3.0)", "window_months=2.5",
 ])
 def test_months_and_windows_follow_the_integer_rule(call, name):
     with pytest.raises(DomainError, match=rf"^{name} must"):
