@@ -15,6 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+# numpy imports numpy.ma on the first unique, median or quantile and
+# numpy.random on the first generator, which most commands reach; importing
+# them with numpy keeps that cost in start-up rather than in whichever
+# command reaches them first
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from . import __version__, em, estimators, gof, master, simulate, snapshots, yule
 from .distributions import SizeDistribution
 from .errors import ConvergenceError, DomainError, ForgesimError, require_integer

@@ -46,8 +46,9 @@ def require_integer(name: str, value, minimum: int | None = None) -> int:
 
 
 def require_p0(p0: float) -> float:
-    """p0 as given; a founding probability outside (0,1), or nan, raises DomainError."""
-    if not 0.0 < p0 < 1.0:
+    """p0 as given; a founding probability outside (0,1), nan, or anything
+    but a scalar raises DomainError."""
+    if np.ndim(p0) != 0 or not 0.0 < p0 < 1.0:
         raise DomainError(f"p0 must lie in (0,1), got {p0}")
     return p0
 

@@ -106,9 +106,12 @@ class EntryRateSeries:
         object.__setattr__(self, "values", v)
 
 
-def _entry_rate(months, totals, mask) -> EntryRateSeries:
+def _entry_rate(name, months, totals, mask) -> EntryRateSeries:
     out_m, out_v = [], []
     by_month = dict(zip(months, totals))
+    bad = [t for t, n in by_month.items() if t not in mask and not np.isfinite(n)]
+    if bad:
+        raise DomainError(f"non-finite {name} at month {min(bad)}")
     for t in sorted(by_month):
         if t in mask or (t - 1) not in by_month or (t - 1) in mask:
             continue
@@ -136,8 +139,8 @@ def relative_entry_rates(
     """(projects, developers) relative monthly entry rate series."""
     mask = require_months("mask", () if mask is None else mask)
     months = [s.month for s in summaries]
-    projects = _entry_rate(months, [s.n_projects for s in summaries], mask)
-    developers = _entry_rate(months, [s.n_developers for s in summaries], mask)
+    projects = _entry_rate("n_projects", months, [s.n_projects for s in summaries], mask)
+    developers = _entry_rate("n_developers", months, [s.n_developers for s in summaries], mask)
     return projects, developers
 
 

@@ -100,7 +100,9 @@ def iterate_master(
 
     steps = record_at if record_at is not None else [n_max_steps]
     wanted = {require_integer("record_at", s) for s in steps}
-    if wanted and (min(wanted) < 1 or max(wanted) > n_max_steps):
+    if not wanted:
+        raise DomainError("record_at must not be empty")
+    if min(wanted) < 1 or max(wanted) > n_max_steps:
         raise DomainError("record_at steps must lie within [1, n_max_steps]")
 
     c = 1.0 - p0

@@ -485,11 +485,28 @@ class TestExitCodes:
 
 
 class TestStartup:
-    def test_cli_import_skips_scipy_optimize_and_stats(self):
-        # both are slow to import and no command needs them at start-up
-        code = ("import sys, forgesim.cli; "
-                "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    # scipy is slow to import, and no command needs it
+    LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    @staticmethod
+    def _run(code):
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": src}, timeout=120)
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self._run("import sys, forgesim.cli; " + self.LOADED_SCIPY) == "[]"
+
+    def test_commands_load_no_scipy(self, yule_sample_file, tmp_path):
+        runs = [["fit", yule_sample_file],
+                ["gof", yule_sample_file, "--bootstrap", "100", "--seed", "1", "--jobs", "1"],
+                ["em", yule_sample_file],
+                ["rateeq", "--p0", "0.5", "--steps", "100"],
+                ["simulate", "--p0", "0.5", "--steps", "100", "--seed", "1"],
+                ["analyze", FIXTURE],
+                ["p0", FIXTURE]]
+        code = "import sys; from forgesim.cli import main\n" + "".join(
+            f"assert main({argv + ['--output-dir', str(tmp_path / argv[0])]!r}) == 0\n"
+            for argv in runs) + self.LOADED_SCIPY
+        assert self._run(code) == "[]"

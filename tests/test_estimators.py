@@ -98,6 +98,19 @@ class TestEntryRates:
         assert 5 not in rates_p.months
         assert 6 not in rates_p.months  # needs month 5 as its base
 
+    @pytest.mark.parametrize("field", ["n_projects", "n_developers"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_count_names_month(self, field, bad):
+        # the first unmasked month with a non-finite count is named; a masked
+        # month is not read
+        counts = {"n_projects": [5, 6, 7, 8, 9], "n_developers": [5, 6, 7, 8, 9]}
+        counts[field][0] = counts[field][2] = counts[field][4] = bad
+        summaries = [SnapshotSummary(month=m, n_developers=d, n_projects=p, n_links=1)
+                     for m, p, d in zip(range(5, 10), counts["n_projects"],
+                                        counts["n_developers"])]
+        with pytest.raises(DomainError, match=f"^non-finite {field} at month 7$"):
+            relative_entry_rates(summaries, mask={5})
+
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(

@@ -20,7 +20,8 @@ def _bits(states):
 def _master_args(draw):
     steps = draw(st.integers(1, 400))
     return (draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)), steps,
-            draw(st.lists(st.integers(1, steps), max_size=6)), draw(st.integers(2, 64)))
+            draw(st.lists(st.integers(1, steps), min_size=1, max_size=6)),
+            draw(st.integers(2, 64)))
 
 
 class TestIteration:
@@ -84,6 +85,11 @@ class TestIteration:
             iterate_master(0.5, 0)
         with pytest.raises(DomainError):
             iterate_master(0.5, 10, record_at=[20])
+
+    def test_empty_record_at_is_rejected_before_stepping(self):
+        # 2e6 steps would take seconds; the error comes first
+        with pytest.raises(DomainError, match="^record_at must not be empty$"):
+            iterate_master(0.5, 2_000_000, record_at=[])
 
 
 class TestAgainstOracle:

@@ -8,10 +8,10 @@ cross-checked against mpmath at high precision.
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
-from scipy.special import digamma, gammaln, polygamma
+from scipy.special import digamma, polygamma
 
 from forgesim import (
     ConvergenceError,
@@ -31,12 +31,14 @@ from forgesim import yule
 from forgesim.yule import (
     DEFAULT_CDF_CACHE,
     _cdf_table,
-    _digamma_diff,
-    _lgamma_ratio,
+    _log_beta,
+    _rows,
+    _score_sums,
     fit_rho_batch,
     fit_rho_weighted,
     sample_counts,
 )
+import yule_scipy_oracle as oracle
 
 
 def rng(seed=0):
@@ -223,7 +225,7 @@ def _brent_fit_rho_weighted(sizes, weights):
 
     def nll(t):
         r = np.exp(t)
-        ll = np.log(r) + gammaln(r + 1.0) + _lgamma_ratio(sizes, r + 1.0)
+        ll = np.log(r) + oracle.log_beta(sizes, r + 1.0)
         return -float(np.dot(weights, ll))
 
     lo, hi = 1e-3, 1e3
@@ -346,8 +348,16 @@ class TestNewtonMle:
         mpmath.mp.dps = 40
         for a in (1.5, 63.0, 64.0, 1e3, 1e6, 1e9):
             for x in (0.0, 1.0, 2.0, 17.0, 1e4, 1e8):
-                ours = float(_digamma_diff(np.array([a]), np.array([x]))[0])
+                ours = float(_score_sums(np.array([a]), np.array([x]), np.zeros(1, np.intp))[0][0])
                 exact = mpmath.digamma(a + x) - mpmath.digamma(a)
+                assert abs(ours - exact) <= 1e-14 * abs(exact) + 1e-300
+
+    def test_trigamma_difference_against_mpmath(self):
+        mpmath.mp.dps = 40
+        for a in (1.05, 1.5, 63.0, 64.0, 1e3, 1e6):
+            for x in (0.0, 1.0, 2.0, 17.0, 64.0, 65.0, 1e4, 1e8):
+                ours = float(_score_sums(np.array([a]), np.array([x]), np.zeros(1, np.intp))[1][0])
+                exact = mpmath.psi(1, a) - mpmath.psi(1, a + x)
                 assert abs(ours - exact) <= 1e-14 * abs(exact) + 1e-300
 
     def test_cdf_with_one_rho_per_element(self):
@@ -357,6 +367,31 @@ class TestNewtonMle:
         np.testing.assert_array_equal(per_element, [cdf(xi, ri) for xi, ri in zip(x, rho)])
         with pytest.raises(DomainError):
             cdf(x, np.array([1.0, 2.0, 0.0, 3.0]))
+
+
+class TestNumpySumsAgainstScipy:
+    """The numpy log B and score sums against the scipy evaluation they replaced."""
+
+    @given(st.floats(0.05, 100.0),
+           st.lists(st.integers(1, 130) | st.integers(1, 10**6), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_log_beta_and_score_sums(self, rho, sizes):
+        x = np.array(sizes, dtype=np.float64)
+        a, row = _rows(rho, x.shape)
+        np.testing.assert_allclose(_log_beta(x, a, row), oracle.log_beta(x, rho + 1.0), rtol=1e-13)
+        d1, d2 = _score_sums(a, x, row)
+        np.testing.assert_allclose(d1, oracle.digamma_diff(rho + 1.0, x), rtol=1e-13)
+        np.testing.assert_allclose(d2, oracle.trigamma_diff(rho + 1.0, x), rtol=1e-13)
+
+    @given(st.floats(0.5, 5.0), st.integers(0, 2**32 - 1), st.sampled_from([50, 1000, 20_000]))
+    @settings(max_examples=100, deadline=None)
+    def test_fit_matches_scipy_newton(self, rho, seed, n):
+        sizes, counts = sample_counts(rho, n, rng(seed))
+        assume(sizes[-1] >= 2)
+        rho_hat, loglik = fit_rho_weighted(sizes, counts)
+        rho_oracle, loglik_oracle = oracle.newton_fit(sizes, counts)
+        assert rho_hat == pytest.approx(rho_oracle, rel=1e-12)
+        assert loglik == pytest.approx(loglik_oracle, rel=1e-12)
 
 
 class TestRhoP0Mapping:

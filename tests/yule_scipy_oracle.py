@@ -1,0 +1,73 @@
+"""The scipy evaluation of the Yule-Simon special functions, kept as the
+oracle of forgesim.yule's numpy sums.
+
+Below size or argument 64 these are scipy's gammaln, digamma and Hurwitz
+zeta; above it the log-Gamma ratio and the digamma difference use yule's
+Stirling and digamma series, as the scipy-based yule did. newton_fit is
+fit_rho_batch's safeguarded Newton iteration for one histogram, run on
+these functions.
+"""
+
+import numpy as np
+from scipy.special import digamma, gammaln, zeta
+
+from forgesim.yule import _STIRLING_MIN, _psi_series, _stirling_ratio
+
+
+def lgamma_ratio(x, a):
+    """log Gamma(x) - log Gamma(x + a); a is a scalar or shaped like x."""
+    a = np.broadcast_to(a, x.shape)
+    out = np.empty_like(x)
+    small = x < _STIRLING_MIN
+    out[small] = gammaln(x[small]) - gammaln(x[small] + a[small])
+    out[~small] = _stirling_ratio(x[~small], a[~small])
+    return out
+
+
+def log_beta(x, a):
+    """log B(x, a)."""
+    return gammaln(a) + lgamma_ratio(x, a)
+
+
+def digamma_diff(a, x):
+    """psi(a + x) - psi(a) for a >= 1, x >= 0."""
+    a, x = np.broadcast_arrays(a, x)
+    out = np.empty(a.shape)
+    small = a < _STIRLING_MIN
+    out[small] = digamma(a[small] + x[small]) - digamma(a[small])
+    out[~small] = _psi_series(a[~small], x[~small])[0]
+    return out
+
+
+def trigamma_diff(a, x):
+    """psi'(a) - psi'(a + x)."""
+    return zeta(2, a) - zeta(2, x + a)
+
+
+def newton_fit(sizes, weights):
+    """(rho, loglik) maximising sum_x w(x) log pmf(x, rho), by the Newton
+    iteration in log rho of fit_rho_batch on the scipy sums."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    t = np.log(max(weights[sizes == 1].sum() / weights[sizes >= 2].sum(), 1e-2))
+    lo, hi = -np.inf, np.inf
+    for _ in range(100):
+        rho = np.exp(t)
+        d1 = digamma_diff(rho + 1.0, sizes)
+        d2 = trigamma_diff(rho + 1.0, sizes)
+        g = np.dot(weights, 1.0 - rho * d1)
+        h = np.dot(weights, rho * (rho * d2 - d1))
+        lo = t if g > 0 else lo
+        hi = t if g < 0 else hi
+        step = -g / h if h < 0 else np.sign(g) * 2.0
+        new = t + np.clip(step, -2.0, 2.0)
+        if new < lo or new > hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - t) < 1e-10
+        t = new
+        if done:
+            break
+    else:
+        raise AssertionError("oracle Newton did not converge")
+    rho = np.exp(t)
+    return float(rho), float(np.dot(weights, np.log(rho) + log_beta(sizes, rho + 1.0)))
