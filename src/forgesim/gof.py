@@ -33,13 +33,18 @@ def _ks_blocks(sizes, counts, lengths, rho, totals) -> np.ndarray:
 
     Block i is the next lengths[i] (size, count) pairs, ascending by size,
     scored against cdf(., rho[i]) with ECDF denominator totals[i]. The ECDF
-    is one cumsum over all blocks minus each block's offset.
+    is one cumsum over all blocks minus each block's offset. The cdf is
+    :func:`yule.cdf`'s closed form 1 - x B(x, rho+1), with block i reading
+    row i of log B, so no sort has to recover the rows.
     """
     starts = np.cumsum(lengths) - lengths
     cum = np.cumsum(counts)
     offsets = np.repeat(cum[starts] - counts[starts], lengths)
     ecdf = (cum - offsets) / np.repeat(totals, lengths)
-    model = yule.cdf(sizes, np.repeat(rho, lengths))
+    x = np.asarray(sizes, dtype=np.float64)
+    block = np.repeat(np.arange(len(lengths)), lengths)
+    a = np.asarray(rho, dtype=np.float64) + 1.0
+    model = -np.expm1(np.log(x) + yule._log_beta(x, a, block))
     return np.maximum.reduceat(np.abs(ecdf - model), starts)
 
 
@@ -52,6 +57,7 @@ def ks_statistic(dist: SizeDistribution, rho: float) -> float:
     """
     if dist.total_projects < 1:
         raise DomainError("empty distribution has no KS statistic")
+    rho = yule._check_rho(rho)
     return float(_ks_blocks(dist.sizes, dist.counts, [len(dist)], [rho], [dist.total_projects])[0])
 
 
@@ -69,8 +75,10 @@ class GofResult:
 def _replica_block(args: tuple[float, int, int, int, int]) -> np.ndarray:
     """KS distances of replicas start..stop-1, each against its own refit.
 
-    Each replica is drawn straight into a histogram; the non-degenerate ones
-    are refitted together by one batched MLE and scored by one batched KS.
+    Each replica is drawn straight into a histogram by
+    :func:`yule.sample_counts`, at a cost that grows with its number of
+    distinct sizes rather than with n; the non-degenerate ones are refitted
+    together by one batched MLE and scored by one batched KS.
     A degenerate replica (all singletons) reads nan; the caller counts those
     as failures.
     """

@@ -21,7 +21,11 @@ are within 1e-15 relative of mpmath.
 
 The survival function has the exact closed form S(x) = x * B(x, rho+1)
 (telescoping the pmf recurrence), so cumulative quantities never require
-explicit tail summation.
+explicit tail summation. It also gives the hazard a closed form,
+P(X = k | X >= k) = f(k)/S(k-1) = rho/(k+rho), from which
+:func:`sample_counts` draws a whole histogram as a chain of conditional
+binomials over the small sizes, at a cost that grows with the number of
+distinct sizes rather than with the number of draws.
 
 The maximum-likelihood estimate of rho is the root of the score, found by a
 safeguarded Newton iteration in log rho that fits many histograms at once
@@ -64,6 +68,10 @@ _STIRLING_MIN = 64
 # beyond it fall back to closed-form survival inversion.
 DEFAULT_CDF_CACHE = 100_000
 
+# sample_counts draws sizes up to this by the hazard chain and places the
+# draws above it with the cdf table.
+_CHAIN_TOP = 32
+
 
 def _stirling_ratio(x: np.ndarray, a) -> np.ndarray:
     """log Gamma(x) - log Gamma(x + a) for x >= 64, from the Stirling series
@@ -71,12 +79,16 @@ def _stirling_ratio(x: np.ndarray, a) -> np.ndarray:
     u = 1.0 / x
     v = 1.0 / (x + a)
     d = a / (x * (x + a))  # u - v without cancellation
-    # Bernoulli corrections B_2..B_8 of the Stirling series, as differences.
+    # Bernoulli corrections B_2..B_8 of the Stirling series, as differences:
+    # u^(n+1) - v^(n+1) = d * p[n] with p[n] = u p[n-1] + v^n, as in _psi_series.
+    vn, p = v, [1.0, u + v]
+    for _ in range(5):
+        vn = vn * v
+        p.append(u * p[-1] + vn)
     corr = d / 12.0
-    corr -= d * (u * u + u * v + v * v) / 360.0
-    u2, v2 = u * u, v * v
-    corr += d * (u2 * u2 + u2 * u * v + u2 * v2 + u * v * v2 + v2 * v2) / 1260.0
-    corr -= d * sum(u ** (6 - i) * v**i for i in range(7)) / 1680.0
+    corr -= d * p[2] / 360.0
+    corr += d * p[4] / 1260.0
+    corr -= d * p[6] / 1680.0
     return -(x - 0.5) * np.log1p(a / x) - a * np.log(x + a) + a + corr
 
 
@@ -114,17 +126,27 @@ def _rows(rho, shape):
     return a, row.reshape(shape)
 
 
-def _log_beta(x: np.ndarray, a: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """log B(x, a[row]) for integer sizes x >= 1, each element reading its row.
-
-    Up to x = 64 it is -log a - sum_{k=1..x-1} log1p(a/k), one cumsum row per
-    entry of a. Above, it is log B(64, a) + R(x) - R(64) with the Stirling
-    ratio R(x) = log Gamma(x) - log Gamma(x+a), and R(64) once per row.
-    """
+def _log_beta_rows(a: np.ndarray) -> np.ndarray:
+    """log B(x, a) for x = 1..64, one row per entry of a: the cumsum of
+    -log a and -log1p(a/k) for k = 1..63."""
     table = np.empty((a.size, _STIRLING_MIN))
     table[:, 0] = -np.log(a)
     np.negative(np.log1p(a[:, None] / np.arange(1.0, _STIRLING_MIN)), out=table[:, 1:])
     np.cumsum(table, axis=1, out=table)
+    return table
+
+
+def _log_beta(x: np.ndarray, a: np.ndarray, row: np.ndarray,
+              table: np.ndarray | None = None) -> np.ndarray:
+    """log B(x, a[row]) for integer sizes x >= 1, each element reading its row.
+
+    Up to x = 64 it is read off ``table``, the rows of :func:`_log_beta_rows`
+    (built here unless the caller already holds them). Above, it is
+    log B(64, a) + R(x) - R(64) with the Stirling ratio
+    R(x) = log Gamma(x) - log Gamma(x+a), and R(64) once per row.
+    """
+    if table is None:
+        table = _log_beta_rows(a)
     out = np.asarray(table[row, np.minimum(x, _STIRLING_MIN).astype(np.intp) - 1])
     big = x > _STIRLING_MIN
     if big.any():
@@ -228,16 +250,29 @@ def _cdf_table(rho: float, x_cache: int) -> np.ndarray:
 
 
 def _invert_tail(target_survival: float, rho: float, lo: int) -> int:
-    """Smallest x > lo with S(x) <= target, via asymptotic guess + bisection."""
+    """Smallest x > lo with S(x) <= target, via asymptotic guess + bisection.
+
+    S(x) is evaluated as :func:`survival` evaluates it, bit for bit, but a and
+    its row of log B up to 64 are built once rather than at every point.
+    """
+    a = np.array([rho + 1.0])
+    row = np.zeros((), dtype=np.intp)
+    table = _log_beta_rows(a)
+
+    def above(x: int) -> bool:
+        """S(x) > target."""
+        arr = np.array(float(x))
+        return np.exp(np.log(arr) + _log_beta(arr, a, row, table)) > target_survival
+
     # S(x) ~ Gamma(rho+1) x^-rho for large x
     guess = int(np.exp((math.lgamma(rho + 1.0) - np.log(target_survival)) / rho))
     hi = max(lo + 1, guess)
-    while survival(hi, rho) > target_survival:
+    while above(hi):
         hi *= 2
     lo_b, hi_b = lo, hi
     while lo_b < hi_b:
         mid = (lo_b + hi_b) // 2
-        if survival(mid, rho) > target_survival:
+        if above(mid):
             lo_b = mid + 1
         else:
             hi_b = mid
@@ -265,30 +300,47 @@ def sample(rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_
 def sample_counts(
     rho: float, n: int, rng: np.random.Generator, x_cache: int = DEFAULT_CDF_CACHE
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of n draws: (sizes, counts), ascending by size.
+    """Histogram of n i.i.d. draws: (sizes, counts), ascending by size.
 
-    Consumes the same uniforms as :func:`sample` and returns exactly
-    ``np.unique(sample(rho, n, rng, x_cache), return_counts=True)``, but
-    never builds the per-draw sizes: the uniforms are sorted, and the cdf
-    table's edges up to the largest size drawn are searched into them.
+    Sizes 1..32 come from a chain of conditional binomials on the hazard
+    P(X = k | X >= k) = rho/(k+rho): of the r draws not yet placed,
+    c_k ~ Binomial(r, rho/(k+rho)) have size k, and the chain stops once none
+    are left. The r draws left after k = 32 are those with X > 32; each is
+    placed by a uniform in [cdf(32), 1) searched in the cached cdf table, or,
+    beyond the table's reach, by closed-form survival inversion as in
+    :func:`sample`. The sampler is exact over the whole support, and its cost
+    grows with the number of distinct sizes rather than with n. Its histogram
+    has the distribution of ``np.unique`` of n draws of :func:`sample`, but
+    the two read different streams.
     """
     rho = _check_rho(rho)
     n, x_cache = require_integer("n", n, 1), require_integer("x_cache", x_cache, 1)
-    table = _cdf_table(rho, x_cache)
-    u = np.sort(rng.random(n))
-    n_table = int(np.searchsorted(u, table[-1], side="right"))
-    top = int(np.searchsorted(table, u[n_table - 1], side="left")) + 1 if n_table else 0
-    # draws of size <= x, for x = 1..top
-    at_most = np.searchsorted(u, table[:top], side="right")
-    counts = np.diff(at_most, prepend=0)
+    k = np.arange(1.0, _CHAIN_TOP + 1.0)
+    chain, left = [], n
+    for hazard in (rho / (k + rho)).tolist():
+        drawn = int(rng.binomial(left, hazard))
+        chain.append(drawn)
+        left -= drawn
+        if not left:
+            break
+    counts = np.array(chain, dtype=np.int64)
     sizes = np.flatnonzero(counts) + 1
     counts = counts[sizes - 1]
-    if n_table < n:
-        tail = [_invert_tail(1.0 - v, rho, x_cache) for v in u[n_table:]]
+    if left:
+        # each draw's survival target, uniform on (0, S(32)], S(32) = prod k/(k+rho)
+        target = np.prod(k / (k + rho)) * (1.0 - rng.random(left))
+        table = _cdf_table(rho, x_cache)
+        u = 1.0 - target
+        in_table = u <= table[-1]
+        far = [_invert_tail(t, rho, max(x_cache, _CHAIN_TOP)) for t in target[~in_table]]
+        tail = np.concatenate([
+            np.searchsorted(table[_CHAIN_TOP:], u[in_table], side="left") + _CHAIN_TOP + 1,
+            np.array(far, dtype=np.int64),
+        ])
         tail_sizes, tail_counts = np.unique(tail, return_counts=True)
         sizes = np.concatenate([sizes, tail_sizes])
         counts = np.concatenate([counts, tail_counts])
-    return sizes.astype(np.int64), counts.astype(np.int64)
+    return sizes.astype(np.int64), counts
 
 
 def rho_from_p0(p0: float) -> float:

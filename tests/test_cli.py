@@ -200,6 +200,13 @@ class TestGof:
         assert rows[0][header.index("B")] == "100"
         assert rows[0][header.index("seed")] == "1"
 
+    def test_two_jobs_write_the_serial_table(self, yule_sample_file, tmp_path):
+        args = ["gof", yule_sample_file, "--bootstrap", "100", "--seed", "3"]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(args + ["--jobs", "1", "--output-dir", str(one)]) == 0
+        assert main(args + ["--jobs", "2", "--output-dir", str(two)]) == 0
+        assert table_bytes(two / "gof.csv") == table_bytes(one / "gof.csv")
+
 
 class TestEm:
     def test_em_on_singleton_inflated_file(self, tmp_path):

@@ -14,7 +14,7 @@ from forgesim import (
     sample,
 )
 from forgesim.gof import _replica_block
-from forgesim.yule import fit_rho_weighted
+from forgesim.yule import fit_rho_weighted, sample_counts
 
 
 def rng(seed=0):
@@ -72,7 +72,7 @@ class TestBootstrap:
             stats = _replica_block((3.0, n, 5, 0, 100))
             for b, got in enumerate(stats):
                 gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(b,))))
-                dist = SizeDistribution.from_sizes(sample(3.0, n, gen))
+                dist = SizeDistribution(*sample_counts(3.0, n, gen))
                 if dist.max_value < 2:
                     assert np.isnan(got)
                 else:

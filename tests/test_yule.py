@@ -5,6 +5,8 @@ recurrence), computed by independent summation oracles inside the test, or
 cross-checked against mpmath at high precision.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import digamma, polygamma
+from scipy.stats import chi2, chi2_contingency
 
 from forgesim import (
     ConvergenceError,
@@ -31,6 +34,7 @@ from forgesim import yule
 from forgesim.yule import (
     DEFAULT_CDF_CACHE,
     _cdf_table,
+    _invert_tail,
     _log_beta,
     _rows,
     _score_sums,
@@ -39,6 +43,7 @@ from forgesim.yule import (
     sample_counts,
 )
 import yule_scipy_oracle as oracle
+from yule_sort_oracle import sort_sample_counts
 
 
 def rng(seed=0):
@@ -174,16 +179,129 @@ class TestSampling:
         [(3.0, 5000, DEFAULT_CDF_CACHE), (1.2, 50_000, 64), (0.5, 2000, 10), (3.0, 1, 64),
          (1.05, 100_000, DEFAULT_CDF_CACHE)],
     )
-    def test_sample_counts_is_unique_of_sample(self, rho, n, x_cache):
+    def test_sort_oracle_is_unique_of_sample(self, rho, n, x_cache):
         # same stream, same histogram, bit for bit; the small caches force
         # tail inversion for part of the draws
         sizes, counts = np.unique(sample(rho, n, rng(17), x_cache=x_cache), return_counts=True)
-        got_sizes, got_counts = sample_counts(rho, n, rng(17), x_cache=x_cache)
+        got_sizes, got_counts = sort_sample_counts(rho, n, rng(17), x_cache=x_cache)
         np.testing.assert_array_equal(got_sizes, sizes)
         np.testing.assert_array_equal(got_counts, counts)
         assert got_sizes.dtype == got_counts.dtype == np.int64
         if x_cache < 100 and n > 1:
             assert got_sizes[-1] > x_cache
+
+
+def _bisect_on_survival(target_survival, rho, lo):
+    """_invert_tail as it was before it hoisted its log B row: the same
+    bisection, on the public survival function."""
+    guess = int(np.exp((math.lgamma(rho + 1.0) - np.log(target_survival)) / rho))
+    hi = max(lo + 1, guess)
+    while survival(hi, rho) > target_survival:
+        hi *= 2
+    lo_b, hi_b = lo, hi
+    while lo_b < hi_b:
+        mid = (lo_b + hi_b) // 2
+        if survival(mid, rho) > target_survival:
+            lo_b = mid + 1
+        else:
+            hi_b = mid
+    return lo_b
+
+
+# Pearson chi-square cells: sizes 1..80 and one cell above, with neighbours
+# merged until each cell expects at least 5 draws. A p-value below the floor
+# fails the test.
+_TOP_CELL = 80
+_MIN_EXPECTED = 5.0
+_P_FLOOR = 1e-3
+
+
+def _cells(rho, n):
+    """Expected counts of n draws in the merged cells, and each size's cell
+    (index size-1, with sizes above 80 in the last entry)."""
+    x = np.arange(1, _TOP_CELL + 1)
+    expected = n * np.append(pmf(x, rho), survival(_TOP_CELL, rho))
+    cell = np.empty(expected.size, dtype=np.intp)
+    group, acc = 0, 0.0
+    for i, e in enumerate(expected):
+        cell[i] = group
+        acc += e
+        if acc >= _MIN_EXPECTED:
+            group, acc = group + 1, 0.0
+    if acc < _MIN_EXPECTED:  # a short last cell joins the one below it
+        cell[cell == group] = group - 1
+    return np.bincount(cell, expected), cell
+
+
+def _observed(sizes, counts, cell):
+    return np.bincount(cell[np.minimum(sizes, _TOP_CELL + 1) - 1], counts, minlength=cell.max() + 1)
+
+
+def _pooled(sampler, rho, n, replicas, x_cache, seed):
+    """One histogram of `replicas` histograms of n draws, each on its own stream."""
+    hists = [sampler(rho, n, rng(seed + b), x_cache=x_cache) for b in range(replicas)]
+    return np.concatenate([h[0] for h in hists]), np.concatenate([h[1] for h in hists])
+
+
+# rho below 1, near 1 and at the model's 3; a sample of 1e5; caches of 1, 10
+# and 64 sizes, which send every draw above 32 (or 64) to _invert_tail; and
+# n = 1 and 3, whose chains mostly stop with no draws left well before 32.
+# At rho = 3 and n = 1000 most chains stop early too.
+POOLS = [  # rho, n, replicas, x_cache
+    (0.7, 1000, 100, DEFAULT_CDF_CACHE),
+    (1.2, 1000, 100, DEFAULT_CDF_CACHE),
+    (3.0, 1000, 100, DEFAULT_CDF_CACHE),
+    (3.0, 100_000, 5, DEFAULT_CDF_CACHE),
+    (1.2, 500, 40, 1),
+    (3.0, 1000, 100, 10),
+    (0.7, 500, 40, 64),
+    (1.2, 1, 20_000, DEFAULT_CDF_CACHE),
+    (0.7, 3, 5000, 10),
+]
+
+
+class TestHazardChainSampler:
+    @pytest.mark.parametrize("rho, n, replicas, x_cache", POOLS)
+    def test_pooled_histogram_follows_the_pmf(self, rho, n, replicas, x_cache):
+        sizes, counts = _pooled(sample_counts, rho, n, replicas, x_cache, seed=1600)
+        expected, cell = _cells(rho, n * replicas)
+        observed = _observed(sizes, counts, cell)
+        stat = np.sum((observed - expected) ** 2 / expected)
+        assert chi2.sf(stat, expected.size - 1) > _P_FLOOR
+
+    @pytest.mark.parametrize("rho, n, replicas, x_cache", [
+        (0.7, 1000, 100, DEFAULT_CDF_CACHE),
+        (1.2, 500, 40, 64),
+        (3.0, 1000, 100, DEFAULT_CDF_CACHE),
+    ])
+    def test_same_distribution_as_the_sort_oracle(self, rho, n, replicas, x_cache):
+        # two-sample chi-square on the merged cells, the oracle on other streams
+        _, cell = _cells(rho, 2 * n * replicas)
+        chain = _observed(*_pooled(sample_counts, rho, n, replicas, x_cache, seed=1700), cell)
+        sort = _observed(*_pooled(sort_sample_counts, rho, n, replicas, x_cache, seed=1800), cell)
+        assert chi2_contingency(np.stack([chain, sort]))[1] > _P_FLOOR
+
+    @pytest.mark.parametrize("rho, n, x_cache", [
+        (3.0, 1, DEFAULT_CDF_CACHE), (0.7, 1, 1), (3.0, 5000, 10), (0.7, 5000, 64),
+        (1.2, 100_000, DEFAULT_CDF_CACHE), (50.0, 1000, DEFAULT_CDF_CACHE),
+    ])
+    def test_histogram_shape_and_determinism(self, rho, n, x_cache):
+        sizes, counts = sample_counts(rho, n, rng(31), x_cache=x_cache)
+        assert sizes.dtype == counts.dtype == np.int64
+        assert sizes[0] >= 1 and np.all(np.diff(sizes) > 0) and np.all(counts > 0)
+        assert counts.sum() == n
+        again = sample_counts(rho, n, rng(31), x_cache=x_cache)
+        np.testing.assert_array_equal(again[0], sizes)
+        np.testing.assert_array_equal(again[1], counts)
+
+    def test_tail_inversion_matches_bisection_on_survival(self):
+        # the hoisted log B row leaves every survival value, and so every
+        # bisection step, as survival() computes it
+        gen = rng(41)
+        for rho in (0.3, 0.7, 1.2, 3.0, 9.0):
+            for lo in (1, 10, 32, 64, 100_000):
+                for t in survival(lo, rho) * (1.0 - gen.random(4)):
+                    assert _invert_tail(t, rho, lo) == _bisect_on_survival(t, rho, lo)
 
 
 class TestMle:

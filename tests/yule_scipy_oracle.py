@@ -2,8 +2,9 @@
 oracle of forgesim.yule's numpy sums.
 
 Below size or argument 64 these are scipy's gammaln, digamma and Hurwitz
-zeta; above it the log-Gamma ratio and the digamma difference use yule's
-Stirling and digamma series, as the scipy-based yule did. newton_fit is
+zeta; above it the log-Gamma ratio uses the Stirling series as the
+scipy-based yule wrote it (stirling_ratio, with its powers taken by `**`),
+and the digamma difference uses yule's digamma series. newton_fit is
 fit_rho_batch's safeguarded Newton iteration for one histogram, run on
 these functions.
 """
@@ -11,7 +12,22 @@ these functions.
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
-from forgesim.yule import _STIRLING_MIN, _psi_series, _stirling_ratio
+from forgesim.yule import _STIRLING_MIN, _psi_series
+
+
+def stirling_ratio(x, a):
+    """log Gamma(x) - log Gamma(x + a) for x >= 64, from the Stirling series
+    of the ratio itself rather than a difference of two large log-Gammas."""
+    u = 1.0 / x
+    v = 1.0 / (x + a)
+    d = a / (x * (x + a))  # u - v without cancellation
+    # Bernoulli corrections B_2..B_8 of the Stirling series, as differences.
+    corr = d / 12.0
+    corr -= d * (u * u + u * v + v * v) / 360.0
+    u2, v2 = u * u, v * v
+    corr += d * (u2 * u2 + u2 * u * v + u2 * v2 + u * v * v2 + v2 * v2) / 1260.0
+    corr -= d * sum(u ** (6 - i) * v**i for i in range(7)) / 1680.0
+    return -(x - 0.5) * np.log1p(a / x) - a * np.log(x + a) + a + corr
 
 
 def lgamma_ratio(x, a):
@@ -20,7 +36,7 @@ def lgamma_ratio(x, a):
     out = np.empty_like(x)
     small = x < _STIRLING_MIN
     out[small] = gammaln(x[small]) - gammaln(x[small] + a[small])
-    out[~small] = _stirling_ratio(x[~small], a[~small])
+    out[~small] = stirling_ratio(x[~small], a[~small])
     return out
 
 
