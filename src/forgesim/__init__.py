@@ -11,7 +11,7 @@ computes the empirical growth/entry/exit estimators used alongside it.
 """
 
 from .distributions import DegreeDistribution, SizeDistribution
-from .em import EMConfig, EMResult, em_fit, predicted_collaborative_entries
+from .em import EMResult, em_fit, predicted_collaborative_entries
 from .errors import (
     AlignmentError,
     ConvergenceError,

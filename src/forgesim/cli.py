@@ -274,19 +274,14 @@ def cmd_gof(args, manifest: RunManifest) -> int:
 
 def cmd_em(args, manifest: RunManifest) -> int:
     dist, month = _load_distribution(args, manifest)
-    cfg = em.EMConfig(epsilon=args.epsilon, max_iterations=args.max_iterations)
-    result = em.em_fit(dist, cfg)
-    # written before the convergence check, so exit 4 leaves the partial result
-    code = _write_outputs(args, manifest, [(
+    result = em.em_fit(dist)
+    return _write_outputs(args, manifest, [(
         "em.csv",
         ["month", "rho_col", "observed_singletons", "latent_singletons", "iterations", "converged"],
         [(month, result.rho_col, result.observed_singletons, result.latent_singletons,
           result.iterations, result.converged)],
         None,
     )])
-    if not result.converged:
-        raise ConvergenceError("EM did not converge within the iteration cap", best=result)
-    return code
 
 
 def cmd_p0(args, manifest: RunManifest) -> int:
@@ -379,8 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("em", help="EM correction of the singleton count")
     add_dist_input(p)
-    p.add_argument("--epsilon", type=_real, default=1e-4)
-    p.add_argument("--max-iterations", type=_integer, default=500)
     add_common(p)
     p.set_defaults(func=cmd_em)
 

@@ -5,14 +5,15 @@ happen not to have attracted a second developer yet, and projects that were
 never meant to grow. Only the former belong to the growth model, so the
 collaborative singleton count is treated as a latent quantity.
 
-E-step: given the current rho, replace the observed singleton count with the
-count that makes the histogram consistent with the model's conditional
-proportions, n1 = f(1;rho)/(1-f(1;rho)) * sum_{x>=2} n(x). M-step: refit rho
-on the corrected histogram. Alternate until |delta rho| < epsilon. This is
-the classic EM for a sample truncated below x=2 with an unknown number of
-truncated observations; its fixed point maximises the conditional likelihood
-of the x>=2 block, and on model-consistent data it leaves the singleton
-count untouched.
+The classic EM for this alternates an E-step, n1 = f(1;rho)/(1-f(1;rho)) * T
+with T = sum_{x>=2} n(x), and a refit of rho on the corrected histogram. Its
+fixed point maximises the likelihood of the x>=2 block truncated below 2,
+sum_{x>=2} n(x) [log f(x;rho) + log(rho+1)], since 1 - f(1;rho) = 1/(rho+1).
+:func:`em_fit` finds that maximiser with one truncated Newton solve
+(:func:`yule.fit_rho_batch` with ``truncated=True``) rather than by
+iterating, and then the E-step has the closed form latent = rho * T. The
+fit never reads the observed singleton count; on model-consistent data the
+latent count lands close to it.
 """
 
 from __future__ import annotations
@@ -24,86 +25,45 @@ import numpy as np
 
 from . import yule
 from .distributions import SizeDistribution
-from .errors import (AlignmentError, DegenerateDataError, DomainError, require_integer,
-                     require_months)
+from .errors import AlignmentError, require_months
 
-__all__ = ["EMConfig", "EMResult", "em_fit", "predicted_collaborative_entries"]
-
-
-@dataclass(frozen=True)
-class EMConfig:
-    """Convergence threshold on |delta rho|, iteration cap, optional start.
-
-    rho_init defaults to the MLE on the x>=2 restricted histogram, which
-    starts the iteration outside the singleton-inflated basin.
-    """
-
-    epsilon: float = 1e-4
-    max_iterations: int = 500
-    rho_init: float | None = None
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
-        object.__setattr__(
-            self, "max_iterations", require_integer("max_iterations", self.max_iterations, 1)
-        )
+__all__ = ["EMResult", "em_fit", "predicted_collaborative_entries"]
 
 
 @dataclass(frozen=True)
 class EMResult:
+    """The corrected fit. iterations counts the Newton steps of the solve."""
+
     rho_col: float
     latent_singletons: float
     observed_singletons: float
     iterations: int
-    converged: bool
-    rho_sequence: tuple[float, ...]
+
+    @property
+    def converged(self) -> bool:
+        """Always True: a solve that does not converge raises ConvergenceError."""
+        return True
 
     @property
     def non_collaborative_singletons(self) -> float:
         return self.observed_singletons - self.latent_singletons
 
 
-def em_fit(dist: SizeDistribution, cfg: EMConfig | None = None) -> EMResult:
-    """Alternate singleton prediction and rho refits until |delta rho| < epsilon.
+def em_fit(dist: SizeDistribution) -> EMResult:
+    """Fit rho to the x>=2 block truncated below 2; latent singletons = rho * T.
 
-    Non-convergence within the iteration cap returns converged=False rather
-    than raising; the final state is still the best available estimate.
+    Raises DegenerateDataError when no size >= 3 carries weight, where the
+    truncated likelihood grows without bound in rho.
     """
-    cfg = cfg or EMConfig()
     tail = dist.restrict_min_size(2)
-    if len(tail) < 2:
-        raise DegenerateDataError("EM needs at least 2 distinct sizes with x >= 2")
-    tail_sum = tail.total_projects
-    observed = dist.count(1)
-
-    # corrected histogram shares the x>=2 block untouched; only the
-    # singleton bin is replaced during iteration
-    sizes = np.concatenate([[1], tail.sizes])
-
-    rho = cfg.rho_init if cfg.rho_init is not None else yule.mle_rho(tail).rho_hat
-    sequence = [rho]
-    latent = observed
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        f1 = yule.pmf(1, rho)
-        latent = f1 / (1.0 - f1) * tail_sum
-        counts = np.concatenate([[latent], tail.counts])
-        rho_new, _ = yule.fit_rho_weighted(sizes, counts)
-        delta = abs(rho_new - rho)
-        rho = rho_new
-        sequence.append(rho)
-        if delta < cfg.epsilon:
-            converged = True
-            break
+    rho, _, steps = yule.fit_rho_batch(tail.sizes, tail.counts,
+                                       np.zeros(len(tail), dtype=np.intp), 1, truncated=True)
+    rho_col = float(rho[0])
     return EMResult(
-        rho_col=rho,
-        latent_singletons=float(latent),
-        observed_singletons=float(observed),
-        iterations=iterations,
-        converged=converged,
-        rho_sequence=tuple(sequence),
+        rho_col=rho_col,
+        latent_singletons=rho_col * tail.total_projects,
+        observed_singletons=float(dist.count(1)),
+        iterations=int(steps[0]),
     )
 
 

@@ -91,7 +91,7 @@ def _replica_block(args: tuple[float, int, int, int, int]) -> np.ndarray:
         counts = np.concatenate([hists[i][1] for i in keep])
         lengths = np.array([len(hists[i][0]) for i in keep])
         replica = np.repeat(np.arange(len(keep)), lengths)
-        rho, _ = yule.fit_rho_batch(sizes, counts, replica, len(keep))
+        rho, _, _ = yule.fit_rho_batch(sizes, counts, replica, len(keep))
         stats[keep] = _ks_blocks(sizes, counts, lengths, rho, np.full(len(keep), n))
     return stats
 

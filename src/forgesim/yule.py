@@ -72,6 +72,9 @@ DEFAULT_CDF_CACHE = 100_000
 # draws above it with the cdf table.
 _CHAIN_TOP = 32
 
+# The largest size a sampler can return: sizes are int64.
+_SIZE_MAX = int(np.iinfo(np.int64).max)
+
 
 def _stirling_ratio(x: np.ndarray, a) -> np.ndarray:
     """log Gamma(x) - log Gamma(x + a) for x >= 64, from the Stirling series
@@ -116,14 +119,10 @@ def _psi_series(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return psi, psi1
 
 
-def _rows(rho, shape):
-    """(a, row): a = rho+1 once per row, and each element's row in an array
-    of the given shape. A scalar rho is one row; a per-element rho has one
-    row per distinct value."""
-    if np.ndim(rho) == 0:
-        return np.array([rho + 1.0]), np.zeros(shape, dtype=np.intp)
-    a, row = np.unique(np.broadcast_to(rho, shape) + 1.0, return_inverse=True)
-    return a, row.reshape(shape)
+def _rows(rho: float, shape):
+    """(a, row): a = rho+1 as the one row, and every element of an array of
+    the given shape reading it."""
+    return np.array([rho + 1.0]), np.zeros(shape, dtype=np.intp)
 
 
 def _log_beta_rows(a: np.ndarray) -> np.ndarray:
@@ -181,12 +180,14 @@ def _score_sums(a: np.ndarray, x: np.ndarray, row: np.ndarray) -> tuple[np.ndarr
     return d1, d2
 
 
-def _check_rho(rho):
-    """rho as a float, or as an array when one rho per element is given."""
-    arr = np.asarray(rho, dtype=np.float64)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+def _check_rho(rho) -> float:
+    """rho as a float: one positive, finite value."""
+    if np.ndim(rho):
+        raise DomainError(f"rho must be a single value, got an array of shape {np.shape(rho)}")
+    value = float(rho)
+    if not 0.0 < value < np.inf:
         raise DomainError(f"rho must be positive and finite, got {rho}")
-    return float(arr) if arr.ndim == 0 else arr
+    return value
 
 
 def _check_x(x) -> np.ndarray:
@@ -222,11 +223,8 @@ def survival(x, rho: float):
     return np.exp(log_survival(x, rho))
 
 
-def cdf(x, rho):
-    """P(X <= x) = 1 - x * B(x, rho+1); equals the pmf prefix sum exactly.
-
-    rho is a float, or an array shaped like x giving each element its own rho.
-    """
+def cdf(x, rho: float):
+    """P(X <= x) = 1 - x * B(x, rho+1); equals the pmf prefix sum exactly."""
     out = -np.expm1(log_survival(x, rho))
     return out if np.ndim(x) else float(out)
 
@@ -253,7 +251,9 @@ def _invert_tail(target_survival: float, rho: float, lo: int) -> int:
     """Smallest x > lo with S(x) <= target, via asymptotic guess + bisection.
 
     S(x) is evaluated as :func:`survival` evaluates it, bit for bit, but a and
-    its row of log B up to 64 are built once rather than at every point.
+    its row of log B up to 64 are built once rather than at every point. A
+    draw above the int64 bound, which a small rho makes likely (S(2**63-1)
+    is 0.11 at rho = 0.05), is a DomainError rather than an overflow.
     """
     a = np.array([rho + 1.0])
     row = np.zeros((), dtype=np.intp)
@@ -264,11 +264,14 @@ def _invert_tail(target_survival: float, rho: float, lo: int) -> int:
         arr = np.array(float(x))
         return np.exp(np.log(arr) + _log_beta(arr, a, row, table)) > target_survival
 
+    if above(_SIZE_MAX):
+        raise DomainError(f"rho={rho} is too small to sample: a draw fell above the int64 "
+                          f"bound {_SIZE_MAX}")
     # S(x) ~ Gamma(rho+1) x^-rho for large x
-    guess = int(np.exp((math.lgamma(rho + 1.0) - np.log(target_survival)) / rho))
-    hi = max(lo + 1, guess)
+    guess = np.exp((math.lgamma(rho + 1.0) - np.log(target_survival)) / rho)
+    hi = int(min(max(lo + 1, guess), _SIZE_MAX))
     while above(hi):
-        hi *= 2
+        hi = min(2 * hi, _SIZE_MAX)
     lo_b, hi_b = lo, hi
     while lo_b < hi_b:
         mid = (lo_b + hi_b) // 2
@@ -380,13 +383,15 @@ _MAX_ITERATIONS = 100
 
 
 def fit_rho_batch(
-    sizes: np.ndarray, weights: np.ndarray, replica: np.ndarray, n_replicas: int
-) -> tuple[np.ndarray, np.ndarray]:
+    sizes: np.ndarray, weights: np.ndarray, replica: np.ndarray, n_replicas: int,
+    truncated: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximise sum_x w(x) log pmf(x, rho) for many histograms at once.
 
     The histograms come as flattened (replica, size, weight) triples;
-    returns (rho, loglik), one entry per replica. In t = log rho the
-    log-likelihood is strictly concave: its derivative
+    returns (rho, loglik, steps), one entry per replica, where steps counts
+    the replica's Newton steps. In t = log rho the log-likelihood is
+    strictly concave: its derivative
 
         g(t) = sum_x w(x) [1 - rho (psi(x+rho+1) - psi(rho+1))]
              = sum_x w(x) [1 - sum_{k=1..x} rho/(rho+k)]
@@ -396,21 +401,40 @@ def fit_rho_batch(
     Newton iteration on g and stops on its own step size; per-replica sums
     are taken with np.bincount, which adds in input order, so a replica's
     rho is bitwise the same whether it is fitted alone or in any batch.
+
+    With ``truncated``, each histogram is a sample truncated below 2: the
+    weight at x = 1 is ignored and the likelihood is that of x given x >= 2,
+    sum_{x>=2} w(x) [log pmf(x, rho) + log(rho+1)]. With W the weight at
+    x >= 2, the score gains W rho/(rho+1) and its derivative
+    W rho/(rho+1)^2, so that
+
+        g(t) = sum_{x>=2} w(x) [1 - sum_{k=2..x} rho/(rho+k)],
+
+    which falls strictly from W to sum w (2-x) and has one root whenever
+    some size >= 3 carries weight.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     replica = np.asarray(replica, dtype=np.intp)
-    heavy = np.bincount(replica, weights * (sizes >= 2), minlength=n_replicas)
+    # the smallest size the likelihood sees; its hazard rho/(rho+first)
+    # starts the iteration
+    first = 2 if truncated else 1
+    if truncated:
+        weights = np.where(sizes >= 2, weights, 0.0)
+        tail = np.bincount(replica, weights, minlength=n_replicas)
+    heavy = np.bincount(replica, weights * (sizes >= first + 1), minlength=n_replicas)
     if np.any(heavy <= 0):
-        raise DegenerateDataError("all weight on size 1: rho is not identifiable")
-    # start from the singleton-fraction estimate f1/(1-f1)
-    ones = np.bincount(replica, weights * (sizes == 1), minlength=n_replicas)
-    t = np.log(np.maximum(ones / heavy, 1e-2))
+        raise DegenerateDataError(f"no weight above size {first}: rho is not identifiable")
+    # start from the hazard estimate rho = first * n(first) / n(> first)
+    at_first = np.bincount(replica, weights * (sizes == first), minlength=n_replicas)
+    t = np.log(np.maximum(first * at_first / heavy, 1e-2))
     lo = np.full(n_replicas, -np.inf)
     hi = np.full(n_replicas, np.inf)
     active = np.ones(n_replicas, dtype=bool)
+    steps = np.zeros(n_replicas, dtype=np.int64)
     for _ in range(_MAX_ITERATIONS):
         idx = np.flatnonzero(active)
+        steps[idx] += 1
         on = active[replica]
         # each active replica is one row of the sum tables
         row = (np.cumsum(active) - 1)[replica[on]]
@@ -420,6 +444,10 @@ def fit_rho_batch(
         rho = rho_row[row]
         g = np.bincount(row, w * (1.0 - rho * d1), minlength=idx.size)
         h = np.bincount(row, w * rho * (rho * d2 - d1), minlength=idx.size)
+        if truncated:
+            q = rho_row / (rho_row + 1.0)
+            g += tail[idx] * q
+            h += tail[idx] * q / (rho_row + 1.0)
         ti = t[idx]
         lo[idx] = np.where(g > 0, ti, lo[idx])
         hi[idx] = np.where(g < 0, ti, hi[idx])
@@ -440,7 +468,9 @@ def fit_rho_batch(
         )
     rho = np.exp(t)
     ll = np.log(rho[replica]) + _log_beta(sizes, rho + 1.0, replica)
-    return rho, np.bincount(replica, weights * ll, minlength=n_replicas)
+    if truncated:
+        ll += np.log1p(rho)[replica]
+    return rho, np.bincount(replica, weights * ll, minlength=n_replicas), steps
 
 
 def fit_rho_weighted(sizes: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -448,7 +478,7 @@ def fit_rho_weighted(sizes: np.ndarray, weights: np.ndarray) -> tuple[float, flo
 
     The one-histogram case of :func:`fit_rho_batch`.
     """
-    rho, ll = fit_rho_batch(sizes, weights, np.zeros(np.size(sizes), dtype=np.intp), 1)
+    rho, ll, _ = fit_rho_batch(sizes, weights, np.zeros(np.size(sizes), dtype=np.intp), 1)
     return float(rho[0]), float(ll[0])
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import argparse
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgesim import __version__
+from forgesim import __version__, cli, yule
 from forgesim.cli import _build_parser, main
 from forgesim.report import read_table, sha256_file
 
@@ -228,13 +229,13 @@ class TestEm:
         assert 2.6 <= float(rows[0][header.index("rho_col")]) <= 3.4
         assert rows[0][header.index("converged")] == "1"
 
-    def test_nonconvergence_exits_4_with_partial_output(self, yule_sample_file, tmp_path):
+    def test_nonconvergence_exits_4_without_output(self, yule_sample_file, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(yule, "_MAX_ITERATIONS", 1)
         out = tmp_path / "em"
-        code = main(["em", yule_sample_file, "--max-iterations", "1",
-                     "--output-dir", str(out)])
-        assert code == 4
-        _, header, rows = read_table(out / "em.csv")  # partial results written
-        assert rows[0][header.index("converged")] == "0"
+        assert main(["em", yule_sample_file, "--output-dir", str(out)]) == 4
+        assert "did not converge in 1 Newton steps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestP0:
@@ -371,14 +372,21 @@ class TestOutputContract:
         (["p0", "ONE_MONTH", "--gap-mask", "MASK"], "no usable months"),
         (["rateeq", "--p0", "1.5", "--steps", "10"], "p0 must lie in"),
         (["gof", "TABLE", "--bootstrap", "50", "--seed", "1"], "n_bootstrap must be >= 100"),
-        (["em", "TABLE", "--epsilon", "0"], "epsilon must be positive"),
-    ], ids=["p0", "rateeq", "gof", "em"])
+        (["gof", "HEAVY", "--bootstrap", "100", "--seed", "1"], "above the int64 bound"),
+        (["em", "PAIRS"], "no weight above size 2"),
+    ], ids=["p0", "rateeq", "gof", "gof-heavy-tail", "em"])
     def test_exit_2_creates_no_output_dir(self, tmp_path, yule_sample_file, capsys, argv,
                                           message):
         events, mask = tmp_path / "one.csv", tmp_path / "mask.txt"
         events.write_text("d1,p1,5,6\n")
         mask.write_text("5\n")
-        files = {"ONE_MONTH": str(events), "MASK": str(mask), "TABLE": yule_sample_file}
+        # rho_hat = 0.069: a replica's draws pass 2**63 - 1 with probability 0.05 each
+        heavy = tmp_path / "heavy.csv"
+        heavy.write_text("size,count\n1,50\n1000000000000,50\n")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("size,count\n1,100\n2,50\n")
+        files = {"ONE_MONTH": str(events), "MASK": str(mask), "TABLE": yule_sample_file,
+                 "HEAVY": str(heavy), "PAIRS": str(pairs)}
         out = tmp_path / "out"
         assert main([files.get(a, a) for a in argv] + ["--output-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -390,14 +398,12 @@ _INTEGER_FLAGS = [
      ["--steps", "--replicas", "--seed", "--checkpoint-at", "--jobs"]),
     (["fit", FIXTURE], ["--month", "--checkpoint"]),
     (["gof", FIXTURE, "--seed", "1"], ["--bootstrap", "--seed", "--jobs"]),
-    (["em", FIXTURE], ["--max-iterations"]),
     (["rateeq", "--p0", "0.5", "--steps", "10"], ["--steps", "--x-trunc", "--record-at"]),
 ]
 
 
 _FLOAT_FLAGS = [
     (["simulate", "--p0", "0.5", "--steps", "10", "--seed", "1"], ["--p0", "--alpha"]),
-    (["em", FIXTURE], ["--epsilon"]),
     (["rateeq", "--p0", "0.5", "--steps", "10"], ["--p0"]),
 ]
 
@@ -435,6 +441,22 @@ class TestIntegerFlags:
         assert exc.value.code == 2
         assert "argument --jobs: must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_lists_exactly_the_integer_and_float_flags(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        commands = next(action for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices.values()
+
+        def listed(kind):
+            return set(re.findall(r"`(--[a-z0-9-]+)`", re.search(rf"{kind} flags \(([^)]*)\)",
+                                                              readme).group(1)))
+
+        def typed(*types):
+            return {flag for command in commands for action in command._actions
+                    if action.type in types for flag in action.option_strings}
+
+        assert listed("Integer") == typed(cli._integer, cli._jobs)
+        assert listed("Float") == typed(cli._real)
 
     def test_signed_integers_accepted(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

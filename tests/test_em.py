@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from em_loop_oracle import em_loop
 from forgesim import (
     AlignmentError,
     DegenerateDataError,
-    DomainError,
-    EMConfig,
     EMResult,
     SizeDistribution,
     em_fit,
@@ -15,6 +16,7 @@ from forgesim import (
     predicted_collaborative_entries,
     sample,
 )
+from forgesim.yule import fit_rho_batch, sample_counts
 
 
 def expected_counts(rho, total, x_max=2000):
@@ -44,13 +46,6 @@ class TestEmFit:
             res.observed_singletons - res.latent_singletons, abs=1e-9
         )
 
-    def test_iteration_cap_reports_unconverged(self):
-        dist = expected_counts(3.0, 10_000)
-        res = em_fit(dist, EMConfig(max_iterations=1))
-        assert not res.converged
-        assert res.iterations == 1
-        assert len(res.rho_sequence) == 2  # init plus the single M-step
-
     def test_tail_block_drives_the_fit(self):
         # adding pure singletons changes nothing the EM looks at: the x>=2
         # block is carried over bit-identically, so the corrected fit and
@@ -72,32 +67,68 @@ class TestEmFit:
         corrected = {int(v): float(c) for v, c in zip(vals, cnts) if v >= 2}
         corrected[1] = first.latent_singletons
         second = em_fit(SizeDistribution.from_mapping(corrected))
-        # the iteration is a function of the x>=2 block alone, so this is
-        # exact; the documented contract only promises epsilon
-        assert abs(second.rho_col - first.rho_col) < 1e-4
-
-    def test_converged_sequence_ends_within_epsilon(self):
-        cfg = EMConfig(epsilon=1e-4)
-        res = em_fit(expected_counts(3.0, 10_000), cfg)
-        assert res.converged
-        assert abs(res.rho_sequence[-1] - res.rho_sequence[-2]) < cfg.epsilon
+        # the solve is a function of the x>=2 block alone, so this is exact
+        assert second.rho_col == first.rho_col
+        assert second.latent_singletons == first.latent_singletons
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateDataError):
             em_fit(SizeDistribution.from_mapping({1: 100, 2: 50}))
 
-    def test_config_validation(self):
-        for epsilon in (0.0, float("nan"), float("inf")):
-            with pytest.raises(DomainError):
-                EMConfig(epsilon=epsilon)
-        with pytest.raises(Exception):
-            EMConfig(max_iterations=0)
+    def test_empty_tail_is_degenerate(self):
+        # no size >= 2 at all: the solve gets empty arrays
+        with pytest.raises(DegenerateDataError):
+            em_fit(SizeDistribution.from_mapping({1: 100}))
 
-    def test_explicit_rho_init_honoured(self):
-        dist = expected_counts(3.0, 10_000)
-        res = em_fit(dist, EMConfig(rho_init=3.0))
-        assert res.rho_sequence[0] == 3.0
-        assert res.rho_col == pytest.approx(3.0, abs=0.01)
+    @pytest.mark.parametrize("sizes, counts", [
+        ([1, 2], [100.0, 50.0]),
+        ([2], [50.0]),
+        ([1], [7.0]),
+    ])
+    def test_truncated_fit_needs_weight_above_two(self, sizes, counts):
+        # with weight only at x <= 2 the truncated score 2/(rho+2) > 0 never
+        # vanishes: the likelihood rises without bound in rho
+        with pytest.raises(DegenerateDataError, match="no weight above size 2"):
+            fit_rho_batch(np.array(sizes), np.array(counts), np.zeros(len(sizes), np.intp), 1,
+                          truncated=True)
+
+    def test_one_size_above_two_is_enough(self):
+        # the truncated score of n(3) alone, n(3) [1 - rho/(rho+2) - rho/(rho+3)],
+        # vanishes where rho^2 = 6
+        res = em_fit(SizeDistribution.from_mapping({1: 40, 3: 10}))
+        assert res.rho_col == pytest.approx(np.sqrt(6.0), rel=1e-12)
+        assert res.latent_singletons == res.rho_col * 10
+
+
+@st.composite
+def inflated_histograms(draw):
+    """Yule draws with extra pure singletons and at least one size >= 3."""
+    rho = draw(st.floats(0.8, 6.0))
+    n = draw(st.sampled_from([30, 300, 5000, 50_000]))
+    sizes, counts = sample_counts(rho, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    counts = counts.astype(np.float64)
+    if sizes[-1] < 3:
+        sizes, counts = np.append(sizes, draw(st.integers(3, 1000))), np.append(counts, 1.0)
+    extra = draw(st.floats(0.0, 5.0)) * n
+    if sizes[0] == 1:
+        counts[0] += extra
+    else:
+        sizes, counts = np.insert(sizes, 0, 1), np.insert(counts, 0, extra)
+    return SizeDistribution(sizes, counts)
+
+
+class TestAgainstTheLoop:
+    @given(inflated_histograms())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_em_loop_at_its_fixed_point(self, dist):
+        res = em_fit(dist)
+        rho, latent, _ = em_loop(dist, epsilon=1e-12)
+        assert res.rho_col == pytest.approx(rho, rel=1e-9)
+        assert res.latent_singletons == pytest.approx(latent, rel=1e-9)
+        tail = dist.restrict_min_size(2).total_projects
+        assert res.latent_singletons == res.rho_col * tail
+        assert res.observed_singletons == dist.count(1)
+        assert res.converged and 1 <= res.iterations <= 100
 
 
 def _em_result(rho_col):
@@ -106,8 +137,6 @@ def _em_result(rho_col):
         latent_singletons=0.0,
         observed_singletons=0.0,
         iterations=1,
-        converged=True,
-        rho_sequence=(rho_col,),
     )
 
 

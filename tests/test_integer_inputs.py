@@ -12,7 +12,6 @@ import pytest
 from event_rows import make_log
 from forgesim import (
     DomainError,
-    EMConfig,
     SimParams,
     SizeDistribution,
     bootstrap_pvalue,
@@ -55,8 +54,6 @@ def rng():
     (lambda: bootstrap_pvalue(DIST, n_bootstrap=100, jobs=1.5), "jobs"),
     (lambda: replicate(PARAMS, 2.5), "n_replicas"),
     (lambda: replicate(PARAMS, 2, jobs=1.5), "jobs"),
-    (lambda: EMConfig(max_iterations=2.5), "max_iterations"),
-    (lambda: EMConfig(max_iterations=True), "max_iterations"),
     (lambda: SimParams(p0=0.5, n_steps=20, seed=1, checkpoints=()), "checkpoints"),
     (lambda: fit_interarrival_waits(WAITS, n_censored=2.5), "n_censored"),
     (lambda: fit_interarrival_waits(WAITS, n_censored=True), "n_censored"),
@@ -67,7 +64,7 @@ def rng():
 ], ids=[
     "sample-n=2.5", "sample-x_cache=10.7", "sample_counts-x_cache=10.7", "n_bootstrap=100.5",
     "bootstrap-seed=1.5", "bootstrap-seed=True", "bootstrap-jobs=1.5", "n_replicas=2.5",
-    "replicate-jobs=1.5", "max_iterations=2.5", "max_iterations=True", "checkpoints=()",
+    "replicate-jobs=1.5", "checkpoints=()",
     "n_censored=2.5", "n_censored=True", "waits-min_waits=29.5", "interarrival-min_waits=1.5",
     "min_bin_count=1.5", "min_bin_count=True",
 ])
@@ -89,7 +86,6 @@ def test_count_inputs_follow_the_integer_rule(call, name):
     (lambda: replicate(PARAMS, 2, jobs=0), "jobs", 1),
     (lambda: iterate_master(0.5, 0), "n_max_steps", 1),
     (lambda: iterate_master(0.5, 10, x_trunc=1), "x_trunc", 2),
-    (lambda: EMConfig(max_iterations=0), "max_iterations", 1),
     (lambda: fit_interarrival_waits(WAITS, n_censored=-4), "n_censored", 0),
     (lambda: fit_interarrival_waits([], min_waits=0), "min_waits", 1),
     (lambda: interarrival_fit(LOG, [0], min_waits=0), "min_waits", 1),
@@ -98,7 +94,7 @@ def test_count_inputs_follow_the_integer_rule(call, name):
 ], ids=[
     "sample-n=0", "sample-x_cache=0", "sample_counts-n=0", "sample_counts-x_cache=0",
     "n_bootstrap=99", "bootstrap-jobs=0", "n_steps=0", "n_replicas=0", "replicate-jobs=0",
-    "n_max_steps=0", "x_trunc=1", "max_iterations=0", "n_censored=-4", "waits-min_waits=0",
+    "n_max_steps=0", "x_trunc=1", "n_censored=-4", "waits-min_waits=0",
     "interarrival-min_waits=0", "window_months=0", "min_bin_count=0",
 ])
 def test_counts_below_their_minimum_name_it(call, name, minimum):

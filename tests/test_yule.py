@@ -174,6 +174,21 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_counts(3.0, 0, rng())
 
+    @pytest.mark.parametrize("sampler", [sample, sample_counts])
+    def test_draw_above_int64_is_a_domain_error(self, sampler):
+        # at rho = 0.05, S(2**63 - 1) = 0.11: of 1000 draws, about 110 lie
+        # beyond the int64 sizes
+        with pytest.raises(DomainError, match=r"rho=0\.05 .* int64 bound 9223372036854775807"):
+            sampler(0.05, 1000, rng(2))
+
+    @pytest.mark.parametrize("sampler", [sample, sample_counts])
+    def test_small_rho_still_samples(self, sampler):
+        # at rho = 0.2, S(1e5) = 0.09 and S(2**63 - 1) = 1.5e-4: the tail
+        # inversion places sizes far beyond the cache, all of them in int64
+        draws = sampler(0.2, 300, rng(4))
+        sizes = np.unique(draws) if sampler is sample else draws[0]
+        assert sizes.dtype == np.int64 and sizes[-1] > DEFAULT_CDF_CACHE
+
     @pytest.mark.parametrize(
         "rho, n, x_cache",
         [(3.0, 5000, DEFAULT_CDF_CACHE), (1.2, 50_000, 64), (0.5, 2000, 10), (3.0, 1, 64),
@@ -433,7 +448,7 @@ class TestNewtonMle:
             sizes = np.concatenate([hists[i][0] for i in group])
             counts = np.concatenate([hists[i][1] for i in group])
             replica = np.repeat(np.arange(len(group)), [len(hists[i][0]) for i in group])
-            return fit_rho_batch(sizes, counts, replica, len(group))
+            return fit_rho_batch(sizes, counts, replica, len(group))[:2]
 
         rho_all, ll_all = fit(range(20))
         rho_block, ll_block = fit(range(5, 12))
@@ -448,9 +463,46 @@ class TestNewtonMle:
         sizes = np.array([1, 1, 2, 2, 5, 9])
         counts = np.array([70, 40, 20, 10, 3, 1])
         replica = np.array([0, 1, 0, 1, 1, 0])
-        rho, _ = fit_rho_batch(sizes, counts, replica, 2)
+        rho, _, steps = fit_rho_batch(sizes, counts, replica, 2)
+        assert steps.dtype == np.int64 and np.all((1 <= steps) & (steps <= yule._MAX_ITERATIONS))
         assert rho[0] == pytest.approx(fit_rho_weighted([1, 2, 9], [70, 20, 1])[0], rel=1e-14)
         assert rho[1] == pytest.approx(fit_rho_weighted([1, 2, 5], [40, 10, 3])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("sizes, counts", [
+        ([1, 2, 3, 7, 40], [700, 150, 60, 9, 1]),
+        ([2, 3, 1_000_000], [1, 1, 5]),
+        ([1, 2, 3], [10**6, 40, 1]),
+    ])
+    def test_truncated_against_high_precision_score_root(self, sizes, counts):
+        mpmath.mp.dps = 40
+        rho, ll, _ = fit_rho_batch(np.array(sizes), np.array(counts), np.zeros(len(sizes), np.intp),
+                                   1, truncated=True)
+
+        # d/d rho of sum_{x>=2} n(x) [log f(x) + log(rho+1)]
+        def score(r):
+            return sum(mpmath.mpf(c) * (1 / r + 1 / (r + 1) + mpmath.digamma(r + 1)
+                                        - mpmath.digamma(x + r + 1))
+                       for x, c in zip(sizes, counts) if x >= 2)
+
+        exact = mpmath.findroot(score, mpmath.mpf(rho[0]))
+        assert rho[0] == pytest.approx(float(exact), rel=1e-12)
+        loglik = sum(c * (mpmath.log(exact) + mpmath.log(mpmath.beta(x, exact + 1))
+                          + mpmath.log(exact + 1))
+                     for x, c in zip(sizes, counts) if x >= 2)
+        assert ll[0] == pytest.approx(float(loglik), rel=1e-12)
+
+    def test_truncated_ignores_size_one_and_keeps_batches_bitwise(self):
+        hists = [sample_counts(rho, 3000, rng(b)) for b, rho in enumerate([3.0, 1.2, 0.6, 8.0])]
+        sizes = np.concatenate([h[0] for h in hists])
+        counts = np.concatenate([h[1] for h in hists]).astype(np.float64)
+        replica = np.repeat(np.arange(4), [len(h[0]) for h in hists])
+        rho, ll, steps = fit_rho_batch(sizes, counts, replica, 4, truncated=True)
+        inflated = counts + 1e4 * (sizes == 1)
+        np.testing.assert_array_equal(fit_rho_batch(sizes, inflated, replica, 4, truncated=True)[0],
+                                      rho)
+        for i, (s, c) in enumerate(hists):
+            alone = fit_rho_batch(s, c, np.zeros(len(s), np.intp), 1, truncated=True)
+            assert (alone[0][0], alone[1][0], alone[2][0]) == (rho[i], ll[i], steps[i])
 
     def test_all_singleton_replica_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -478,13 +530,14 @@ class TestNewtonMle:
                 exact = mpmath.psi(1, a) - mpmath.psi(1, a + x)
                 assert abs(ours - exact) <= 1e-14 * abs(exact) + 1e-300
 
-    def test_cdf_with_one_rho_per_element(self):
+    def test_array_rho_is_a_domain_error(self):
+        # one rho per call: an array rho, even a one-element one, is rejected
         x = np.array([1, 5, 100, 10**5])
-        rho = np.array([0.7, 3.0, 1.2, 9.0])
-        per_element = cdf(x, rho)
-        np.testing.assert_array_equal(per_element, [cdf(xi, ri) for xi, ri in zip(x, rho)])
-        with pytest.raises(DomainError):
-            cdf(x, np.array([1.0, 2.0, 0.0, 3.0]))
+        for call in (cdf, log_pmf, yule.log_survival):
+            for rho in (np.array([0.7, 3.0, 1.2, 9.0]), np.array([3.0]), [3.0]):
+                with pytest.raises(DomainError, match="single value"):
+                    call(x, rho)
+        assert cdf(x, np.float64(3.0)).tolist() == cdf(x, 3.0).tolist()
 
 
 class TestNumpySumsAgainstScipy:
