@@ -68,6 +68,14 @@ def _real(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
+def _month(text: str) -> int:
+    """Value of --month: a month token as in an event file, an integer or YYYY-MM."""
+    try:
+        return month_index(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid month value: {text!r}") from None
+
+
 def _jobs(text: str) -> int:
     """Value of --jobs: an integer flag of at least 1. argparse names the flag
     before the message, so the message drops the name."""
@@ -354,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_dist_input(p):
         p.add_argument("input", help="size,count table, simulate trace, or events file")
-        p.add_argument("--month", type=_integer,
+        p.add_argument("--month", type=_month,
                        help="treat input as an events file and use this month's snapshot")
         p.add_argument("--checkpoint", type=_integer,
                        help="checkpoint step when the input is a trace (default: last)")

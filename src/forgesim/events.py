@@ -53,6 +53,9 @@ _HEADER = ("developer_id", "project_id", "entry_month", "exit_month")
 # The ASCII bytes that str.strip() removes.
 _SPACE = np.array([chr(b).isspace() for b in range(128)])
 
+# _KEEP[L] keeps the first L bytes of a big-endian uint64 word and zeroes the rest.
+_KEEP = np.array([2**64 - 2**(64 - 8 * L) for L in range(9)], np.uint64)
+
 
 @lru_cache(maxsize=16)
 def _epoch_months(epoch: str) -> int:
@@ -243,45 +246,70 @@ def parse_events(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH)
 def _parse_regular(text: str, epoch: str) -> ParseResult | None:
     """The parse of a regular file, done on whole columns; None for any other file.
 
-    A file is regular when it is ASCII without CR or NUL and every line after
-    an optional header holds the same number of commas, 2 or 3, with ids that
-    are neither empty nor padded, month tokens that parse and no exit before
-    its entry: the row loop finds no row error in such a file. Fields are read
-    as fixed-width byte strings, so a file whose widest field times its line
-    count exceeds its length is not regular either.
+    A file is regular when it is ASCII without CR or NUL, after an optional
+    byte-order mark, and every line after an optional header that is not blank
+    holds the same number of commas, 2 or 3, with ids that are neither empty
+    nor padded, month tokens that parse and no exit before its entry: the row
+    loop finds no row error in such a file. Each field is read as big-endian
+    uint64 words of 8 bytes, NUL-padded, so that word order is byte order; a
+    file whose widest field times its line count exceeds its length is not
+    regular either.
     """
+    bom = text.startswith("\ufeff")
+    text = text.removeprefix("\ufeff")  # line 1's byte-order mark, as the row loop drops it
     if not (text.isascii() and "\r" not in text and "\0" not in text):
         return None
     head = text[:text.find("\n")] if "\n" in text else text
+    if bom and not head.strip():
+        return None  # the row loop reads the mark as line 1's one field
     is_header = tuple(f.strip() for f in head.split(",")) in (_HEADER, _HEADER[:3])
     skip = len(head) + 1 if is_header else 0
-    body = np.frombuffer(text.encode("ascii"), np.uint8)[skip:]
+    raw = text.encode("ascii") + bytes(8)
+    body = np.frombuffer(raw, np.uint8, len(raw) - 8 - skip, skip)
     if not body.size:
         return None
     ends = np.flatnonzero(body == ord("\n"))
     if body[-1] != ord("\n"):
         ends = np.append(ends, body.size)  # the last line has no newline
+    starts = np.r_[-1, ends[:-1]]
     commas = np.flatnonzero(body == ord(","))
     per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-    n, width = ends.size, int(per_line[0]) + 1
+    # a line without commas is blank or not regular; the row loop skips blank lines
+    blank = [r for r in np.flatnonzero(per_line == 0).tolist()
+             if not text[skip + starts[r] + 1:skip + ends[r]].strip()]
+    kept = np.delete(np.arange(ends.size), blank)  # the body line of each row
+    starts, ends, per_line = starts[kept], ends[kept], per_line[kept]
+    n = ends.size
+    if not n:
+        return None
+    width = int(per_line[0]) + 1
     if width not in (3, 4) or (per_line != width - 1).any():
         return None
     # field c of line r is body[bounds[r, c] + 1:bounds[r, c + 1]]
-    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(n, width - 1), ends])
+    bounds = np.column_stack([starts, commas.reshape(n, width - 1), ends])
     del commas, per_line
     if n * int(np.diff(bounds, axis=1).max()) > body.size:
         return None
+    # word[i] is the big-endian uint64 of body[i:i + 8], read past the body as NULs
+    word = np.ndarray((body.size + 1,), ">u8", raw, skip, (1,))
 
     def distinct(c: int) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted distinct values of field c and the code of each line's value."""
         lo, hi = bounds[:, c] + 1, bounds[:, c + 1]
-        chars = np.zeros((n, max(int((hi - lo).max()), 1)), np.uint8)
-        for j in range(chars.shape[1]):  # NUL-padded, and a bytes dtype drops trailing NULs
-            chars[:, j] = np.where(lo + j < hi, body[np.minimum(lo + j, body.size - 1)], 0)
-        # return_index asks for a stable sort, which is faster on byte strings
-        values, _, code = np.unique(chars.view(f"S{chars.shape[1]}")[:, 0],
-                                    return_index=True, return_inverse=True)
-        return tuple(values.astype(str).tolist()), code.astype(np.int64, copy=False)
+        words = [word[np.minimum(at, body.size)] & _KEEP[np.clip(hi - at, 0, 8)]
+                 for at in (lo + i for i in range(0, max(int((hi - lo).max()), 1), 8))]
+        if len(words) == 1:
+            values, code = np.unique(words[0], return_inverse=True)
+        else:  # the first word is the primary key
+            order = np.lexsort(words[::-1])
+            ranked = np.stack(words, axis=1)[order]
+            new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+            values, code = ranked[new], np.empty(n, np.int64)
+            code[order] = np.cumsum(new) - 1
+        # a bytes dtype drops each value's trailing NULs
+        strings = values.astype(">u8").view(f"S{8 * len(words)}").ravel().tolist()
+        return (tuple(b"\n".join(strings).decode("ascii").split("\n")),
+                code.astype(np.int64, copy=False))
 
     lo, hi = bounds[:, :2] + 1, bounds[:, 1:3]  # the two ids of each line
     if ((lo == hi) | _SPACE[body[lo]] | _SPACE[body[hi - 1]]).any():
@@ -297,7 +325,7 @@ def _parse_regular(text: str, epoch: str) -> ParseResult | None:
     if (exit_m < entry).any():
         return None
     return _result(*distinct(0), *distinct(1), entry, exit_m, lambda r: (
-        r + 1 + bool(skip), text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]))
+        int(kept[r]) + 1 + bool(skip), text[skip + bounds[r, 0] + 1:skip + bounds[r, -1]]))
 
 
 def _parse_rows(lines: list[str], epoch: str) -> ParseResult:

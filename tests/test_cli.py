@@ -396,7 +396,7 @@ class TestOutputContract:
 _INTEGER_FLAGS = [
     (["simulate", "--p0", "0.5", "--steps", "10", "--seed", "1"],
      ["--steps", "--replicas", "--seed", "--checkpoint-at", "--jobs"]),
-    (["fit", FIXTURE], ["--month", "--checkpoint"]),
+    (["fit", FIXTURE], ["--checkpoint"]),
     (["gof", FIXTURE, "--seed", "1"], ["--bootstrap", "--seed", "--jobs"]),
     (["rateeq", "--p0", "0.5", "--steps", "10"], ["--steps", "--x-trunc", "--record-at"]),
 ]
@@ -425,12 +425,26 @@ class TestIntegerFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: invalid float value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["5_2_2", "５２２"])
-    def test_month_lookalikes_exit_2(self, value, tmp_path):
+    @pytest.mark.parametrize("value", ["5_2_2", "５２２", "1_0", "10.0", "", "1972-13",
+                                       "1972-2", "\uff11\uff19\uff17\uff12-02", "x"])
+    def test_month_lookalikes_exit_2(self, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", FIXTURE, "--month", value, "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
+        assert "argument --month: invalid month value" in capsys.readouterr().err
         assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["fit"], ["gof", "--bootstrap", "100", "--seed", "1"],
+                                      ["em"]], ids=["fit", "gof", "em"])
+    def test_month_takes_a_calendar_token_like_months(self, argv, tmp_path):
+        """--month 1972-02 is month 25 from the 1970-01 epoch, as in an event file."""
+        tables = []
+        for token in ("25", "1972-02"):
+            out = tmp_path / token
+            assert main([argv[0], FIXTURE, *argv[1:], "--month", token,
+                         "--output-dir", str(out)]) == 0
+            tables.append(table_bytes(out / f"{argv[0]}.csv"))
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("base", [b for b, flags in _INTEGER_FLAGS if "--jobs" in flags])
     @pytest.mark.parametrize("value", ["0", "-3", "+0", "-0"])

@@ -14,6 +14,7 @@ own strategy and one-defect variants, so both paths are held to the oracle.
 
 import io
 from dataclasses import dataclass
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,22 +269,39 @@ def test_a_log_is_built_with_one_sort(build, monkeypatch):
 # regular files, which parse_events reads in bulk on whole columns
 
 
+# Id pools of one file. The bulk parser reads a field as 8-byte words, so the
+# pools hold ids on either side of 8 and 16 bytes and ids that are prefixes of
+# one another across a word boundary. Within a pool no id is longer than the
+# shortest line, which keeps every file within the bulk parser's width bound.
+ID_POOLS = [
+    (["d0", "d1", "d22", "dev-3"], ["p0", "p1", "proj2"]),
+    (["dev", "dev0", "dev00000", "dev000000"], ["p0", "p1", "proj2"]),
+    (["d000000", "d0000000", "d00000000", "d0000001"], ["proj000", "proj0000", "proj00000"]),
+    (["developer-00000", "developer-000001", "developer-0000010", "developer-00001"],
+     ["p0", "p1", "project-0000001x"]),
+]
+
+
 @st.composite
 def regular_files(draw):
     """Regular event files: one field count throughout, ASCII, well-formed
     ids and months, no exit before its entry; zero-length rows and repeated
-    triples (which the parse drops and reports) are common."""
+    triples (which the parse drops and reports) are common, and a file may
+    begin with a byte-order mark or hold blank lines, which the parse skips."""
     epoch = draw(st.sampled_from([DEFAULT_EPOCH, "1970-02"]))
     width = draw(st.sampled_from([3, 4]))
+    developers, projects = draw(st.sampled_from(ID_POOLS))
     rows = draw(st.lists(st.tuples(
-        st.sampled_from(["d0", "d1", "d22", "dev-3"]), st.sampled_from(["p0", "p1", "proj2"]),
+        st.sampled_from(developers), st.sampled_from(projects),
         st.integers(-2, 30), st.one_of(st.none(), st.integers(0, 6)),
     ), min_size=1, max_size=30))
     rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # repeated triples
     rows = draw(st.permutations(rows))
+    # integer tokens of 9 and 10 bytes, such as +000000005, take two words
+    formats = draw(st.sampled_from([[str], [lambda i: f"{i:+09d}", lambda i: f"{i:+010d}"]]))
 
     def token(index):
-        return draw(st.sampled_from([str(index), month_label(index, epoch)]))
+        return draw(st.sampled_from([month_label(index, epoch)] + [f(index) for f in formats]))
 
     lines = []
     for dev, proj, entry, stay in rows:
@@ -293,7 +311,10 @@ def regular_files(draw):
         lines.append(",".join(fields))
     if draw(st.booleans()):
         lines.insert(0, ",".join(HEADER[:width]))
-    return "".join(line + "\n" for line in lines), epoch
+    for _ in range(draw(st.integers(0, 3))):  # not before line 1, which would hide a header
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t\x1c"])))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + "\n" for line in lines), epoch
 
 
 @given(regular_files())
@@ -319,8 +340,13 @@ REGULAR = (
     (REGULAR.rstrip("\n"), True),  # no final newline
     (REGULAR.replace("d2,p1,4,", "d2,p1, 4 ,  "), True),  # padded month tokens
     (REGULAR.replace("d2,p1,4,", "d2,p1,4,\r"), False),  # CR line
-    ("\ufeff" + REGULAR, False),  # byte-order mark
-    (REGULAR.replace("d2,p1,4,\n", "d2,p1,4,\n\n"), False),  # blank line
+    ("\ufeff" + REGULAR, True),  # byte-order mark
+    (REGULAR.replace("d2,p1,4,\n", "d2,p1,4,\n\n"), True),  # blank line
+    (REGULAR.replace("d2,p1,4,\n", "d2,p1,4,\n \t\x1c\n"), True),  # whitespace-only line
+    (REGULAR + "  ", True),  # whitespace-only last line without a newline
+    ("\ufeff \n" + REGULAR.partition("\n")[2], False),  # byte-order mark alone on line 1,
+    # which the row loop reads as a one-field row
+    ("\n" + REGULAR, False),  # blank line 1, so the header on line 2 is a row
     (REGULAR.replace("d2,p1,4,", "d2,p1,4"), False),  # 3 fields among 4
     (REGULAR.replace("d2,p1,4,", "d2 ,p1,4,"), False),  # padded id
     (REGULAR.replace("d2,p1,4,", "d2,,4,"), False),  # empty id
@@ -352,3 +378,21 @@ def test_regular_file_never_reaches_the_row_loop(monkeypatch):
     monkeypatch.setattr(events, "_parse_rows", row_loop_not_called)
     assert_parses_like_the_oracle(text)
     assert [d.line_no for d in parse_events(io.StringIO(text)).duplicates] == [5, 7]
+
+
+LONG_IDS = "".join(f"developer-{i % 7:012d},project-{i % 5:020d},{i},{i + 3}\n"
+                   for i in range(40))
+
+
+@pytest.mark.parametrize("text", [
+    (Path(__file__).parent / "data" / "events_200.csv").read_text(encoding="utf-8"),
+    "\ufeff" + REGULAR,
+    REGULAR + "\n",
+    REGULAR + "  \n",
+    LONG_IDS + LONG_IDS.splitlines(keepends=True)[3],
+], ids=["events_200", "byte-order-mark", "trailing-blank-line", "trailing-space-line",
+        "long-ids"])
+def test_regular_files_take_the_bulk_path(text):
+    """The row loop is the slower path, so a regular file must not fall back to it."""
+    assert events._parse_regular(text, DEFAULT_EPOCH) is not None
+    assert_parses_like_the_oracle(text)
