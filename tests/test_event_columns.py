@@ -265,6 +265,16 @@ def test_a_log_is_built_with_one_sort(build, monkeypatch):
     assert calls == [3]
 
 
+@pytest.mark.parametrize("low, high", [(0, 2**16 - 1), (-5, 2**16 - 6), (0, 2**16),
+                                       (-2**63, 2**63 - 1)])
+def test_sort_keys_narrow_only_when_the_order_survives(low, high):
+    rng = np.random.default_rng(3)
+    key = np.r_[low, high, rng.integers(low, high, 500, endpoint=True), low, high]
+    narrow = events._sort_key(key)
+    assert (narrow.dtype == np.uint16) == (high - low < 2**16)
+    assert np.array_equal(np.argsort(narrow, kind="stable"), np.argsort(key, kind="stable"))
+
+
 # ---------------------------------------------------------------------------
 # regular files, which parse_events reads in bulk on whole columns
 
