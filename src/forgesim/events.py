@@ -320,9 +320,9 @@ def _parse_regular(text: str, epoch: str) -> ParseResult | None:
             values, code = ranked[new], np.empty(n, np.int64)
             code[order] = np.cumsum(new) - 1
         # each value's bytes less their NUL padding, then a newline
-        size = 8 * len(words)
-        chars = np.full((len(values), size + 1), ord("\n"), np.uint8)
-        chars[:, :size] = values.astype(">u8").view(np.uint8).reshape(-1, size)
+        nbytes = 8 * len(words)
+        chars = np.full((len(values), nbytes + 1), ord("\n"), np.uint8)
+        chars[:, :nbytes] = values.astype(">u8").view(np.uint8).reshape(-1, nbytes)
         values = chars[chars != 0].tobytes().decode("ascii").split("\n")[:-1]
         return tuple(values), code.astype(np.int64, copy=False)
 
