@@ -62,7 +62,8 @@ class TestAnalyze:
     def test_matches_checked_in_goldens(self, tmp_path):
         out = tmp_path / "an"
         assert main(["analyze", FIXTURE, "--output-dir", str(out)]) == 0
-        for name in ("summary.csv", "entry_exit.csv", "entry_rate_quantiles.csv"):
+        for name in ("summary.csv", "size_distribution.csv", "degree_distribution.csv",
+                     "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"):
             assert table_bytes(out / name) == table_bytes(DATA / "golden" / name), name
 
     def test_month_range_restriction(self, tmp_path):
