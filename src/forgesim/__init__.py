@@ -57,10 +57,12 @@ from .simulate import (
 )
 from .snapshots import (
     EntryExitCounts,
+    MonthSweep,
     Snapshot,
     SnapshotSummary,
     developer_degree_distribution,
     entry_exit_counts,
+    month_sweep,
     project_size_distribution,
     snapshot_at,
     summarize,

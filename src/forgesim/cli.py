@@ -206,13 +206,21 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     ])
 
 
+def _histogram_rows(months: np.ndarray, values: np.ndarray, table: np.ndarray,
+                    keep: np.ndarray):
+    """The (month, value, count) rows of the nonzero cells of a sweep table, in
+    month then value order, over the months that keep selects."""
+    row, col = np.nonzero(table * keep[:, None])
+    return zip(months[row].tolist(), values[col].tolist(), table[row, col].tolist())
+
+
 def cmd_analyze(args, manifest: RunManifest) -> int:
     log = _load_events(args.events, manifest)
     mask = _load_mask(args, manifest)
     first, last = log.month_range
     lo, hi = _parse_month_range(args.months) if args.months else (first, last)
-    # the first month the snapshot loop below would reject, found here so that
-    # the error names the --months range it came from
+    # only masked months may lie outside the observed range; the first other
+    # one is an error that names the --months range it came from
     outside = (m for r in (range(lo, min(hi + 1, first)), range(max(lo, last + 1), hi + 1))
                for m in r if m not in mask)
     if (month := next(outside, None)) is not None:
@@ -220,20 +228,17 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
                          f"range [{first}, {last}]")
     manifest.params["months"] = f"{lo}:{hi}"
 
-    summaries = []
-    summary_rows, size_rows, degree_rows = [], [], []
-    for m in range(lo, hi + 1):
+    sweep = snapshots.month_sweep(log, lo, hi)
+    summaries, summary_rows = [], []
+    for m, n_developers, n_projects, n_links in zip(
+            sweep.months.tolist(), sweep.n_developers.tolist(), sweep.n_projects.tolist(),
+            sweep.n_links.tolist()):
         if m in mask:
             summary_rows.append((m, "", "", "", 1))
             continue
-        snap = snapshots.snapshot_at(log, m)
-        s = snapshots.summarize(snap)
-        summaries.append(s)
-        summary_rows.append((m, s.n_developers, s.n_projects, s.n_links, 0))
-        sdist = snapshots.project_size_distribution(snap)
-        size_rows.extend((m, int(x), c) for x, c in zip(sdist.sizes, sdist.counts))
-        ddist = snapshots.developer_degree_distribution(snap)
-        degree_rows.extend((m, int(k), c) for k, c in zip(ddist.degrees, ddist.counts))
+        summaries.append(snapshots.SnapshotSummary(m, n_developers, n_projects, n_links))
+        summary_rows.append((m, n_developers, n_projects, n_links, 0))
+    unmasked = np.array([m not in mask for m in range(lo, hi + 1)])
     counts = snapshots.entry_exit_counts(log, (lo, hi))
     # a month has an active project exactly when it has an active developer,
     # so both series cover the same months
@@ -242,8 +247,10 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
     return _write_outputs(args, manifest, [
         ("summary.csv", ["month", "n_developers", "n_projects", "n_links", "masked"],
          summary_rows, None),
-        ("size_distribution.csv", ["month", "size", "count"], size_rows, None),
-        ("degree_distribution.csv", ["month", "degree", "count"], degree_rows, None),
+        ("size_distribution.csv", ["month", "size", "count"],
+         _histogram_rows(sweep.months, sweep.sizes, sweep.size_counts, unmasked), None),
+        ("degree_distribution.csv", ["month", "degree", "count"],
+         _histogram_rows(sweep.months, sweep.degrees, sweep.degree_counts, unmasked), None),
         ("entry_exit.csv",
          ["month", "new_projects", "removed_projects", "new_developers", "removed_developers"],
          zip(counts.months, counts.new_projects, counts.removed_projects,

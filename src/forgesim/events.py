@@ -256,18 +256,23 @@ def parse_events(source: str | Path | io.TextIOBase, epoch: str = DEFAULT_EPOCH)
 def _parse_regular(text: str, epoch: str) -> ParseResult | None:
     """The parse of a regular file, done on whole columns; None for any other file.
 
-    A file is regular when it is ASCII without CR or NUL, after an optional
-    byte-order mark, and every line after an optional header that is not blank
-    holds the same number of commas, 2 or 3, with ids that are neither empty
-    nor padded, month tokens that parse and no exit before its entry: the row
-    loop finds no row error in such a file. Each field is read as big-endian
-    uint64 words of 8 bytes, NUL-padded, so that word order is byte order; a
-    file whose widest field times its line count exceeds its length is not
-    regular either.
+    A file is regular when it is ASCII without NUL, after an optional
+    byte-order mark, its line ends are all LF or all CR LF, and every line
+    after an optional header that is not blank holds the same number of
+    commas, 2 or 3, with ids that are neither empty nor padded, month tokens
+    that parse and no exit before its entry: the row loop finds no row error
+    in such a file. Each field is read as big-endian uint64 words of 8 bytes,
+    NUL-padded, so that word order is byte order; a file whose widest field
+    times its line count exceeds its length is not regular either.
     """
     bom = text.startswith("\ufeff")
     text = text.removeprefix("\ufeff")  # line 1's byte-order mark, as the row loop drops it
-    if not (text.isascii() and "\r" not in text and "\0" not in text):
+    if "\r" in text:
+        # a file whose every line ends in CR LF: the row loop strips the CR
+        if not text.count("\r") == text.count("\r\n") == text.count("\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if not (text.isascii() and "\0" not in text):
         return None
     head = text[:text.find("\n")] if "\n" in text else text
     if bom and not head.strip():

@@ -2,8 +2,12 @@
 
 A link (developer, project) is active in month t iff entry_month <= t and
 (no exit or exit_month > t), counted once per pair. A snapshot is a view of
-the log's merged rows. Everything here is a pure function of the immutable
-event log, so per-month computations are safe to evaluate concurrently.
+the log's merged rows in one month; `fit`, `gof` and `em --month` and
+`size_dependent_growth` read snapshots. `month_sweep` gives every month of a
+range at once, its link count and its project-size and developer-degree
+histograms, from one pass over the rows; `analyze` reads it. Everything here
+is a pure function of the immutable event log, so per-month computations are
+safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from .events import MembershipEventLog
 __all__ = [
     "Snapshot",
     "SnapshotSummary",
+    "MonthSweep",
     "EntryExitCounts",
     "snapshot_at",
+    "month_sweep",
     "summarize",
     "project_size_distribution",
     "developer_degree_distribution",
@@ -79,6 +85,82 @@ def developer_degree_distribution(snapshot: Snapshot) -> DegreeDistribution:
     """f(k): number of developers active in exactly k projects."""
     degrees = snapshot.degrees()
     return DegreeDistribution.from_degrees(degrees[degrees > 0])
+
+
+@dataclass(frozen=True, eq=False)
+class MonthSweep:
+    """Every month's link count and size and degree histograms over a range.
+
+    Row i of size_counts holds, for each project size in sizes, the number of
+    projects with that many active developers in months[i]; degree_counts
+    holds the same for developer degrees. Each size and degree has a nonzero
+    count in some month. The row sums are the month's active projects and
+    developers, so a month with no active link has all-zero rows.
+    """
+
+    months: np.ndarray
+    n_links: np.ndarray
+    sizes: np.ndarray
+    size_counts: np.ndarray
+    degrees: np.ndarray
+    degree_counts: np.ndarray
+
+    def __post_init__(self):
+        for name in ("months", "n_links", "sizes", "size_counts", "degrees", "degree_counts"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def n_projects(self) -> np.ndarray:
+        return self.size_counts.sum(axis=1)
+
+    @property
+    def n_developers(self) -> np.ndarray:
+        return self.degree_counts.sum(axis=1)
+
+
+def _level_table(code: np.ndarray, start: np.ndarray, stop: np.ndarray,
+                 n_months: int) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, table) for rows of code active over months [start, stop), where
+    0 <= start < stop <= n_months: levels are the distinct positive numbers of
+    active rows that a code holds in some month, and table[t, j] counts the
+    codes with levels[j] active rows in month t."""
+    # one key per change, (code, month, +1 or -1) packed so that a plain sort
+    # orders each code's changes by month, a stop before a start in one month
+    shift = n_months.bit_length() + 1
+    base = code << shift
+    keys = np.sort(np.concatenate([base + (start << 1) + 1, base + (stop << 1)]))
+    level = np.cumsum((keys & 1) * 2 - 1)
+    month = (keys >> 1) & ((1 << (shift - 1)) - 1)
+    # a level holds from a change to the next; it returns to 0 at each code's
+    # last change, so a positive level is followed by a change of the same code
+    run = np.flatnonzero((level[:-1] > 0) & (month[1:] > month[:-1]))
+    level = level[run]
+    present = np.bincount(level) > 0
+    levels = np.flatnonzero(present)
+    col = (np.cumsum(present) - 1)[level]
+    width, cells = levels.size, (n_months + 1) * levels.size
+    diff = (np.bincount(month[run] * width + col, minlength=cells)
+            - np.bincount(month[run + 1] * width + col, minlength=cells))
+    return levels, np.cumsum(diff.reshape(n_months + 1, width), axis=0)[:n_months]
+
+
+def month_sweep(log: MembershipEventLog, lo: int, hi: int) -> MonthSweep:
+    """The link count and the size and degree histograms of every month in
+    [lo, hi], from one pass over the log's rows. Any range is allowed: a month
+    before the log's first has no active link, and one after its last has the
+    rows still open at the last."""
+    lo, hi = _month_bounds(log, (lo, hi))
+    n_months = hi - lo + 1
+    # each row clipped to the range, as months from lo; rows left empty are dropped
+    start = np.maximum(log.start, lo) - lo
+    stop = np.minimum(log.stop, hi + 1) - lo
+    kept = start < stop
+    start, stop = start[kept], stop[kept]
+    links = np.bincount(start, minlength=n_months + 1) - np.bincount(stop, minlength=n_months + 1)
+    sizes, size_counts = _level_table(log.project[kept], start, stop, n_months)
+    degrees, degree_counts = _level_table(log.developer[kept], start, stop, n_months)
+    return MonthSweep(np.arange(lo, hi + 1), np.cumsum(links)[:n_months],
+                      sizes, size_counts, degrees, degree_counts)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from forgesim import __version__, cli, yule
+from forgesim import __version__, cli, estimators, parse_events, snapshots, yule
 from forgesim.cli import _build_parser, main
-from forgesim.report import read_table, sha256_file
+from forgesim.report import read_table, sha256_file, write_table
+from snapshot_loop_oracle import snapshot_loop
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "events_200.csv")
@@ -65,6 +66,47 @@ class TestAnalyze:
         for name in ("summary.csv", "size_distribution.csv", "degree_distribution.csv",
                      "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"):
             assert table_bytes(out / name) == table_bytes(DATA / "golden" / name), name
+
+    def test_makes_no_snapshot_at_call(self, tmp_path, monkeypatch):
+        """analyze reads every month from one sweep; a per-month scan fails here."""
+        def snapshot_at(*args):
+            raise AssertionError("analyze took a snapshot")
+
+        monkeypatch.setattr(snapshots, "snapshot_at", snapshot_at)
+        out = tmp_path / "an"
+        assert main(["analyze", FIXTURE, "--output-dir", str(out)]) == 0
+        for name in ("summary.csv", "size_distribution.csv", "degree_distribution.csv"):
+            assert table_bytes(out / name) == table_bytes(DATA / "golden" / name), name
+
+    @pytest.mark.parametrize("months, masked", [
+        (None, [0, 7, 8, 30]),
+        ("3:12", [3, 5]),
+        # masked months on both sides of the observed range [0, 30]
+        ("-3:33", [-3, -2, -1, 6, 17, 18, 31, 32, 33]),
+    ])
+    def test_masked_months_match_the_snapshot_loop(self, tmp_path, months, masked):
+        mask = tmp_path / "mask.txt"
+        mask.write_text("".join(f"{m}\n" for m in masked))
+        out = tmp_path / "an"
+        flags = ["--months", months] if months else []
+        assert main(["analyze", FIXTURE, *flags, "--gap-mask", str(mask),
+                     "--output-dir", str(out)]) == 0
+        log = parse_events(FIXTURE).log
+        lo, hi = map(int, months.split(":")) if months else log.month_range
+        summary_rows, size_rows, degree_rows, summaries = snapshot_loop(log, lo, hi, set(masked))
+        rates_p, rates_d = estimators.relative_entry_rates(summaries, set(masked))
+        want = tmp_path / "want"
+        want.mkdir()
+        for name, header, rows in [
+            ("summary.csv", ["month", "n_developers", "n_projects", "n_links", "masked"],
+             summary_rows),
+            ("size_distribution.csv", ["month", "size", "count"], size_rows),
+            ("degree_distribution.csv", ["month", "degree", "count"], degree_rows),
+            ("entry_rates.csv", ["month", "g_projects", "g_developers"],
+             zip(rates_p.months, rates_p.values, rates_d.values)),
+        ]:
+            write_table(want / name, header, rows)
+            assert table_bytes(out / name) == table_bytes(want / name), name
 
     def test_month_range_restriction(self, tmp_path):
         out = tmp_path / "an"

@@ -383,6 +383,28 @@ def test_crlf_file_from_a_path_is_read_in_bulk(tmp_path, monkeypatch):
     assert_parses_like_the_oracle(text, source=path)
 
 
+def test_crlf_stream_is_read_in_bulk(monkeypatch):
+    """A text stream keeps its CR LF line ends; with a repeated row, a blank
+    line and no final line end, its duplicates keep the row loop's line numbers
+    and raw lines."""
+    text = (REGULAR + "\nd2,p1,4,9").replace("\n", "\r\n")
+    monkeypatch.setattr(events, "_parse_rows", row_loop_not_called)
+    assert_parses_like_the_oracle(text)
+    assert [(d.line_no, d.raw) for d in parse_events(io.StringIO(text)).duplicates] == [
+        (5, "d1,p1,1970-03,9"), (8, "d2,p1,4,9")]
+
+
+@pytest.mark.parametrize("text", [
+    REGULAR.replace("\n", "\r\n").replace("d2,p1,4,", "d2,p1,4,\r"),  # doubled CR
+    REGULAR.replace("\n", "\r\n").replace("d2,p1,4,", "d2\r,p1,4,"),  # bare CR in an id
+    REGULAR.replace("\n", "\r\n") + "d2,p1,4,9\r",  # bare CR ending the file
+    REGULAR.replace("\n", "\r\n", 3),  # CR LF and LF line ends mixed
+], ids=["doubled", "bare-in-id", "bare-at-end", "mixed"])
+def test_other_cr_takes_the_row_loop(text):
+    assert events._parse_regular(text, DEFAULT_EPOCH) is None
+    assert_parses_like_the_oracle(text)
+
+
 def test_regular_file_never_reaches_the_row_loop(monkeypatch):
     text = REGULAR + "d2,p1,4,9\n"
     monkeypatch.setattr(events, "_parse_rows", row_loop_not_called)

@@ -26,6 +26,7 @@ from forgesim import (
     developer_degree_distribution,
     entry_exit_counts,
     interarrival_fit,
+    month_sweep,
     project_size_distribution,
     snapshot_at,
     summarize,
@@ -215,6 +216,18 @@ def assert_matches_oracles(rows):
         assert summarize(snap) == oracle_summarize(month, links)
         same_histogram(project_size_distribution(snap), oracle_size_distribution(links))
         same_histogram(developer_degree_distribution(snap), oracle_degree_distribution(links))
+
+    # the sweep takes any range; outside the observed one, links are counted directly
+    sweep = month_sweep(log, lo - 2, hi + 3)
+    for i, month in enumerate(sweep.months.tolist()):
+        links = frozenset((ev.developer_id, ev.project_id) for ev in rows if active_at(ev, month))
+        got = SnapshotSummary(month, int(sweep.n_developers[i]), int(sweep.n_projects[i]),
+                              int(sweep.n_links[i]))
+        assert got == oracle_summarize(month, links)
+        same_histogram(SizeDistribution(sweep.sizes, sweep.size_counts[i]),
+                       oracle_size_distribution(links))
+        same_histogram(DegreeDistribution(sweep.degrees, sweep.degree_counts[i]),
+                       oracle_degree_distribution(links))
 
     for months in (None, (lo, hi), (lo - 2, hi + 3), (lo + 1, lo + 1)):
         counts = entry_exit_counts(log, months)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from event_rows import Row, active_pairs, make_log
@@ -11,10 +11,12 @@ from forgesim import (
     collaborative_entry_counts,
     developer_degree_distribution,
     entry_exit_counts,
+    month_sweep,
     project_size_distribution,
     snapshot_at,
     summarize,
 )
+from snapshot_loop_oracle import snapshot_loop
 
 
 def ten_dev_eight_project_log():
@@ -160,6 +162,82 @@ class TestDistributions:
                 dev += 1
         dist = project_size_distribution(snapshot_at(make_log(rows), 0))
         assert dist.as_dict() == trace.final.distribution.as_dict()
+
+
+def sweep_tables(sweep):
+    """The sweep's months as the oracle loop's summary, size and degree rows."""
+
+    def cells(values, table):
+        return [(int(sweep.months[t]), int(values[j]), int(table[t, j]))
+                for t, j in zip(*np.nonzero(table))]
+
+    summary = [(m, d, p, n, 0) for m, d, p, n in zip(
+        sweep.months.tolist(), sweep.n_developers.tolist(), sweep.n_projects.tolist(),
+        sweep.n_links.tolist())]
+    return summary, cells(sweep.sizes, sweep.size_counts), cells(sweep.degrees, sweep.degree_counts)
+
+
+# records of few pairs over few months, so that a pair's records often
+# overlap or touch and merge; a stay of 0 is a zero-length record and None
+# a record still open at the end
+sweep_records = st.lists(
+    st.tuples(st.sampled_from(["d0", "d1", "d2", "d3"]), st.sampled_from(["p0", "p1", "p2"]),
+              st.integers(0, 12), st.one_of(st.none(), st.integers(0, 5))),
+    min_size=1, max_size=25, unique_by=lambda r: r[:3],
+)
+
+
+# merged overlapping and touching records of one pair, zero-length records,
+# records still open at the end, and months 5, 6 and 8 with no active link
+GAPPED_RECORDS = [("d0", "p0", 0, 3), ("d0", "p0", 2, 2), ("d0", "p0", 4, 1), ("d0", "p0", 7, 1),
+                  ("d1", "p0", 8, 0), ("d1", "p1", 9, None), ("d2", "p1", 4, 0),
+                  ("d3", "p2", 12, None)]
+
+
+def sweep_log(records):
+    return make_log([(d, p, e, None if stay is None else e + stay) for d, p, e, stay in records])
+
+
+class TestMonthSweep:
+    @given(sweep_records, st.integers(0, 12), st.integers(0, 12))
+    @example(GAPPED_RECORDS, 0, 0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_snapshot_loop(self, records, skip_first, skip_last):
+        """Over the log's month range less skip_first months at its start and
+        skip_last at its end, where the range allows."""
+        log = sweep_log(records)
+        first, last = log.month_range
+        lo = min(first + skip_first, last)
+        hi = max(last - skip_last, lo)
+        sweep = month_sweep(log, lo, hi)
+        summary_rows, size_rows, degree_rows, _ = snapshot_loop(log, lo, hi)
+        assert sweep.months.tolist() == list(range(lo, hi + 1))
+        assert sweep_tables(sweep) == (summary_rows, size_rows, degree_rows)
+        for values, table in ((sweep.sizes, sweep.size_counts), (sweep.degrees, sweep.degree_counts)):
+            assert (values > 0).all() and (np.diff(values) > 0).all()
+            assert table.shape == (hi - lo + 1, values.size) and table.any(axis=0).all()
+
+    def test_the_gapped_records_have_months_without_links(self):
+        sweep = month_sweep(sweep_log(GAPPED_RECORDS), 0, 12)
+        assert sweep.n_links.tolist() == [1, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 2]
+
+    def test_bounds_follow_the_month_rule(self):
+        log = make_log([("d1", "p1", 2, 5)])
+        with pytest.raises(DomainError, match="^empty month range$"):
+            month_sweep(log, 4, 3)
+        with pytest.raises(DomainError):
+            month_sweep(log, 2.0, 4)
+
+    def test_arrays_are_read_only(self):
+        sweep = month_sweep(make_log([("d1", "p1", 2, 5), ("d2", "p1", 3)]), 2, 6)
+        for name in ("months", "n_links", "sizes", "size_counts", "degrees", "degree_counts"):
+            with pytest.raises(ValueError):
+                getattr(sweep, name)[0] = 0
+
+    def test_an_empty_log_has_no_links(self):
+        sweep = month_sweep(make_log([]), 0, 2)
+        assert sweep.n_links.tolist() == [0, 0, 0]
+        assert sweep.size_counts.shape == sweep.degree_counts.shape == (3, 0)
 
 
 class TestEntryExit:
