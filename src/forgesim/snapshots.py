@@ -99,15 +99,18 @@ class MonthSweep:
     """
 
     months: np.ndarray
-    n_links: np.ndarray
     sizes: np.ndarray
     size_counts: np.ndarray
     degrees: np.ndarray
     degree_counts: np.ndarray
 
     def __post_init__(self):
-        for name in ("months", "n_links", "sizes", "size_counts", "degrees", "degree_counts"):
+        for name in ("months", "sizes", "size_counts", "degrees", "degree_counts"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def n_links(self) -> np.ndarray:
+        return self.size_counts @ self.sizes
 
     @property
     def n_projects(self) -> np.ndarray:
@@ -156,11 +159,9 @@ def month_sweep(log: MembershipEventLog, lo: int, hi: int) -> MonthSweep:
     stop = np.minimum(log.stop, hi + 1) - lo
     kept = start < stop
     start, stop = start[kept], stop[kept]
-    links = np.bincount(start, minlength=n_months + 1) - np.bincount(stop, minlength=n_months + 1)
     sizes, size_counts = _level_table(log.project[kept], start, stop, n_months)
     degrees, degree_counts = _level_table(log.developer[kept], start, stop, n_months)
-    return MonthSweep(np.arange(lo, hi + 1), np.cumsum(links)[:n_months],
-                      sizes, size_counts, degrees, degree_counts)
+    return MonthSweep(np.arange(lo, hi + 1), sizes, size_counts, degrees, degree_counts)
 
 
 @dataclass(frozen=True)

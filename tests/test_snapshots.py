@@ -230,7 +230,7 @@ class TestMonthSweep:
 
     def test_arrays_are_read_only(self):
         sweep = month_sweep(make_log([("d1", "p1", 2, 5), ("d2", "p1", 3)]), 2, 6)
-        for name in ("months", "n_links", "sizes", "size_counts", "degrees", "degree_counts"):
+        for name in ("months", "sizes", "size_counts", "degrees", "degree_counts"):
             with pytest.raises(ValueError):
                 getattr(sweep, name)[0] = 0
 
