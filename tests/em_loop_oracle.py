@@ -18,7 +18,9 @@ def em_loop(dist: SizeDistribution, epsilon: float = 1e-12,
             max_iterations: int = 10_000) -> tuple[float, float, int]:
     """(rho, latent singletons, iterations) at |delta rho| < epsilon.
 
-    Starts from the MLE on the x >= 2 histogram, as em_fit did; raises
+    Starts from the untruncated MLE on the x >= 2 histogram, as em_fit did,
+    but without mle_rho's two-observation guard: a lone project of size >= 3
+    is enough for both the start and the truncated fixed point. Raises
     AssertionError if the iteration cap is reached first.
     """
     tail = dist.restrict_min_size(2)
@@ -26,7 +28,7 @@ def em_loop(dist: SizeDistribution, epsilon: float = 1e-12,
     # the corrected histogram shares the x>=2 block untouched; only the
     # singleton bin is replaced during iteration
     sizes = np.concatenate([[1], tail.sizes])
-    rho = yule.mle_rho(tail).rho_hat
+    rho, _ = yule.fit_rho_weighted(tail.sizes, tail.counts)
     for iterations in range(1, max_iterations + 1):
         f1 = yule.pmf(1, rho)
         latent = f1 / (1.0 - f1) * tail_sum

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from em_loop_oracle import em_loop
@@ -119,6 +119,7 @@ def inflated_histograms(draw):
 
 class TestAgainstTheLoop:
     @given(inflated_histograms())
+    @example(SizeDistribution.from_mapping({1: 30, 3: 1}))  # one project above size 2
     @settings(max_examples=60, deadline=None)
     def test_matches_the_em_loop_at_its_fixed_point(self, dist):
         res = em_fit(dist)
