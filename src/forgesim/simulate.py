@@ -6,20 +6,49 @@ proportional to x_r**alpha.
 
 Stream contract. Arrival 0 is the forced founding and draws nothing. Arrival
 k >= 1 draws a branch uniform u; if u < p0 it founds a project, otherwise it
-draws one more uniform v and picks a target. Uniforms are pulled from the
-generator in blocks of _BLOCK, which continue one sequence.
+joins one. With n projects placed, a join at alpha = 1 draws one uniform v
+and takes the project of arrival floor(v * k), a uniformly random already
+placed developer, which realises size-proportional selection exactly. At any
+other alpha it draws pairs (v, w) until one is accepted: v proposes a project
+r of size x from an envelope of x**alpha, and w accepts it with probability
+x**alpha over the envelope at x. The three envelopes are
+- alpha > 1: x * x_max**(alpha-1); v proposes the project of arrival
+  floor(v * k), and w < (x / x_max)**(alpha-1) accepts;
+- 0 <= alpha < 1: the tangent A + B x of x**alpha at the mean size
+  x0 = k / n, A = (1-alpha) x0**alpha, B = alpha x0**(alpha-1); with the
+  weights A n and B k of its two parts, v < 1 - alpha proposes project
+  floor(v / (1-alpha) * n) and otherwise the project of arrival
+  floor((v - (1-alpha)) / alpha * k), each index clamped to the last one,
+  and w (1 - alpha + alpha z) < z**alpha accepts, with z = x / x0;
+- alpha < 0: x_min**alpha; v proposes project floor(v * n), and
+  w < (x / x_min)**alpha accepts.
+The acceptance forms only ratios of at most 1; the largest project at
+alpha > 1 and the smallest at alpha < 0 are accepted with certainty, and at
+0 <= alpha < 1 every ratio is positive, so every round can accept even where
+x**alpha itself would overflow or underflow. A join takes on average the
+envelope's total over sum x**alpha proposals: k x_max**(alpha-1),
+n x0**alpha or n x_min**alpha over sum x**alpha. In runs of 1e5 arrivals
+that is 1.0-1.3 at 0 <= alpha < 1; at alpha > 1, where it approaches
+k / x_max as one project takes nearly every join, 1.05 at p0 = 0.05, 3 at
+p0 = 2/3 and 20-34 at p0 = 0.95; and at alpha < 0, where it grows with the
+share of projects above the smallest size, 1.03 at p0 = 0.95 but 12.5 at
+alpha = -1 and p0 = 0.05; there, and at strongly negative alpha, a
+Fenwick-tree search over the weights is faster.
 
-`run` has one core per kind of alpha. At alpha = 1 the target is the
-project of arrival floor(v * k), a uniformly random already placed
-developer, which realises size-proportional selection exactly; the core
-resolves the whole run without a per-arrival loop: it locates every branch
-draw in each block with one running maximum, links each joiner to the
-arrival it copies, and finds every arrival's founder by pointer jumping. At
-any other alpha the target is found by searching a Fenwick tree over the
-per-project weights x**alpha for v times the weight sum, in O(log
-n_projects) per join, and the core places one arrival at a time in a loop
-over Python lists. Both cores give bit for bit what a per-arrival stepping
-loop gives on the same stream; the tests hold such a loop as their oracle.
+Uniforms are one sequence of the generator, which the cores and the tests'
+stepping loop read in chunks of different sizes; Philox gives the same
+sequence however it is chunked.
+
+`run` has one core for alpha = 1 and one for any other alpha. At alpha = 1
+the core resolves the whole run without a per-arrival loop, reading the
+stream in blocks of _BLOCK: it locates every branch draw in each block with
+one running maximum, links each joiner to the arrival it copies, and finds
+every arrival's founder by pointer jumping. At any other alpha the core
+places one arrival at a time in a loop over Python lists and an array of
+every arrival's project. Both cores give bit for bit what a per-arrival
+stepping loop gives on the same stream; the tests hold such a loop as their
+oracle, and a Fenwick-tree search over the weights x**alpha as a second
+realisation of the alpha != 1 process.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of a
 run derives its stream deterministically as SeedSequence(seed, spawn_key=(r,)),
@@ -29,6 +58,7 @@ generator identity is recorded in every trace.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -161,69 +191,79 @@ def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
     return ids[parent]
 
 
-def _fenwick_sizes(params: SimParams, replica: int):
+def _rejection_sizes(params: SimParams, replica: int):
     """Project sizes at each checkpoint of a run at alpha != 1, placed one arrival at a time.
 
-    Three lists hold the state: a Fenwick tree over the per-project weights
-    x**alpha, the weights and the sizes. A join searches the tree for v times
-    the running weight sum in O(log n_projects). Each weight and tree node
-    is the running sum of its updates; when the projects outgrow the tree's
-    capacity, it doubles and the tree is rebuilt from the weights in index
-    order. Every float64 operation is thus fixed by the stream, and the run
-    stops at the last checkpoint.
+    A join draws pairs (v, w) until one is accepted: v proposes a project from
+    an envelope of x**alpha that the state samples in O(1), and w accepts the
+    proposal with the probability x**alpha / envelope(x), a ratio of at most
+    1 formed without x**alpha itself. The state is the sizes in founding
+    order, the project of every placed arrival, the largest size and, at
+    alpha < 0, the smallest size and the count of projects of each size.
+    The run stops at the last checkpoint.
     """
     p0, alpha = params.p0, params.alpha
+    last = params.checkpoints[-1]
     generator = _generator(params.seed, replica)
-    # the stream's uniforms as Python floats, one _BLOCK pulled at a time
-    uniform = chain.from_iterable(iter(lambda: generator.random(_BLOCK).tolist(), None)).__next__
-    cap = max(min(params.n_steps, 1024), 2)
-    top = 1 << (cap.bit_length() - 1)
-    tree = [0.0] * (cap + 1)
-    i = 1
-    while i <= cap:  # the forced founding: project 0 with weight 1
-        tree[i] = 1.0
-        i += i
-    weights, sizes, total = [1.0], [1], 1.0
+    chunk = min(_BLOCK, 2 * last)  # a short run pulls a short chunk of the one sequence
+    # the stream's uniforms as Python floats, one chunk pulled at a time
+    uniform = chain.from_iterable(iter(lambda: generator.random(chunk).tolist(), None)).__next__
+    sizes = [1]
+    owner = array("q", bytes(8 * last))  # the project of every placed arrival
+    x_max = x_min = 1
+    per_size = [0, 1] + [0] * last if alpha < 0.0 else None
+    tilt, gap = alpha - 1.0, 1.0 - alpha
     k = 1
     for c in params.checkpoints:
-        for _ in range(c - k):
-            n = len(sizes)
+        for k in range(k, c):
             if uniform() < p0:
-                if n == cap:
-                    cap += cap
-                    top += top
-                    tree = [0.0, *weights] + [0.0] * (cap - n)
-                    for i in range(1, cap + 1):
-                        j = i + (i & -i)
-                        if j <= cap:
-                            tree[j] += tree[i]
-                weights.append(1.0)
+                owner[k] = len(sizes)
                 sizes.append(1)
-                i = n + 1
-                while i <= cap:
-                    tree[i] += 1.0
-                    i += i & -i
-                total += 1.0
+                if per_size is not None:
+                    per_size[1] += 1
+                    x_min = 1
+                continue
+            if alpha > 1.0:
+                # v: the project of arrival floor(v * k), chance x / k; the
+                # envelope x * x_max**(alpha - 1) is met by the largest project
+                while True:
+                    r = owner[int(uniform() * k)]
+                    x = sizes[r]
+                    if uniform() < (x / x_max) ** tilt:
+                        break
+            elif alpha < 0.0:
+                # v: project floor(v * n), chance 1 / n; the envelope
+                # x_min**alpha is met by the smallest project
+                n = len(sizes)
+                while True:
+                    r = int(uniform() * n)
+                    x = sizes[r]
+                    if uniform() < (x / x_min) ** alpha:
+                        break
+                per_size[x] -= 1
+                per_size[x + 1] += 1
+                if x == x_min and not per_size[x]:
+                    x_min = x + 1
             else:
-                value = uniform() * total
-                r, bit = 0, top
-                while bit:
-                    nxt = r + bit
-                    if nxt <= cap and tree[nxt] <= value:
-                        value -= tree[nxt]
-                        r = nxt
-                    bit >>= 1
-                if r >= n:
-                    r = n - 1
-                x = sizes[r]
-                sizes[r] = x + 1
-                delta = float(x + 1) ** alpha - float(x) ** alpha
-                weights[r] += delta
-                i = r + 1
-                while i <= cap:
-                    tree[i] += delta
-                    i += i & -i
-                total += delta
+                # v < 1 - alpha: a uniform project; otherwise the project of a
+                # uniform earlier arrival. The chance (1 - alpha) / n + alpha * x / k
+                # is the tangent of x**alpha at the mean size k / n over its sum.
+                n = len(sizes)
+                mean = k / n
+                while True:
+                    v = uniform()
+                    if v < gap:
+                        r = min(int(v / gap * n), n - 1)
+                    else:
+                        r = owner[min(int((v - gap) / alpha * k), k - 1)]
+                    x = sizes[r]
+                    z = x / mean
+                    if uniform() * (gap + alpha * z) < z**alpha:
+                        break
+            sizes[r] = x + 1
+            if x == x_max:
+                x_max = x + 1
+            owner[k] = r
         k = c
         yield np.array(sizes, dtype=np.int64)
 
@@ -232,14 +272,14 @@ def run(params: SimParams, replica: int = 0) -> SimTrace:
     """Run the process from the forced founding and record each checkpoint.
 
     At alpha = 1 every arrival's project is resolved at once from the whole
-    run; at any other alpha the Fenwick loop places one arrival at a time up
-    to the last checkpoint.
+    run; at any other alpha the rejection loop places one arrival at a time
+    up to the last checkpoint.
     """
     if params.alpha == 1.0:
         project = _arrival_projects(params, replica)
         sizes_at = (np.bincount(project[:c]) for c in params.checkpoints)
     else:
-        sizes_at = _fenwick_sizes(params, replica)
+        sizes_at = _rejection_sizes(params, replica)
     records = tuple(
         Checkpoint(
             step=c,

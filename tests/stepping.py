@@ -1,10 +1,21 @@
 """The per-arrival stepping machine, kept as the oracle of both simulator cores.
 
 `step` places one arriving developer on a `SimState`, reading uniforms from a
-`UniformStream`: at alpha = 1 through an array of the project of every placed
-developer (slots), at other alpha through a numpy Fenwick tree over the
-weights x**alpha. It follows the stream contract in `forgesim.simulate`, so
-`stepping_run` gives what `forgesim.simulate.run` must give bit for bit.
+`UniformStream`. It follows the stream contract in `forgesim.simulate`, so
+`stepping_run` gives what `forgesim.simulate.run` must give bit for bit: a
+join at alpha = 1 takes the project of a uniformly random placed developer
+(the slots), and at any other alpha it draws pairs (v, w) until w accepts
+the project that v proposes from one of three envelopes of x**alpha:
+
+- alpha > 1: v picks a placed developer's project, w < (x / x_max)**(alpha-1);
+- 0 <= alpha < 1: v < 1 - alpha picks a uniform project and otherwise a placed
+  developer's project, w * (1 - alpha + alpha * z) < z**alpha with z = x n / k;
+- alpha < 0: v picks a uniform project, w < (x / x_min)**alpha.
+
+`fenwick_sizes` draws the same process another way: a join searches a
+Fenwick tree over x**alpha for one uniform times the weight sum. Its
+realisations differ from `run`'s, and the tests compare the two by their
+statistics.
 """
 
 import numpy as np
@@ -14,18 +25,19 @@ from forgesim.simulate import _BLOCK, Checkpoint, SimParams, _generator
 
 
 class UniformStream:
-    """Buffered stream of uniforms on [0,1) drawn from a Generator in _BLOCK blocks."""
+    """Buffered stream of uniforms on [0,1), as Python floats, drawn from a
+    Generator in _BLOCK blocks."""
 
     __slots__ = ("generator", "_buf", "_pos")
 
     def __init__(self, generator: np.random.Generator):
         self.generator = generator
-        self._buf = generator.random(_BLOCK)
+        self._buf = generator.random(_BLOCK).tolist()
         self._pos = 0
 
     def next(self) -> float:
         if self._pos >= _BLOCK:
-            self._buf = self.generator.random(_BLOCK)
+            self._buf = self.generator.random(_BLOCK).tolist()
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1
@@ -46,16 +58,14 @@ class _Fenwick:
 
     def __init__(self, capacity: int):
         self._cap = max(int(capacity), 2)
-        self._tree = np.zeros(self._cap + 1)
-        self._weights = np.zeros(self._cap)
-        self._n = 0
+        self._tree = [0.0] * (self._cap + 1)
+        self._weights = []
 
     def append(self, weight: float) -> None:
-        if self._n >= self._cap:
+        if len(self._weights) >= self._cap:
             self._grow()
-        self._weights[self._n] = weight
-        self._n += 1
-        self._add_tree(self._n - 1, weight)
+        self._weights.append(weight)
+        self._add_tree(len(self._weights) - 1, weight)
 
     def add(self, index: int, delta: float) -> None:
         self._weights[index] += delta
@@ -71,11 +81,7 @@ class _Fenwick:
 
     def _grow(self) -> None:
         self._cap *= 2
-        weights = np.zeros(self._cap)
-        weights[: self._n] = self._weights[: self._n]
-        self._weights = weights
-        tree = np.zeros(self._cap + 1)
-        tree[1 : self._n + 1] = weights[: self._n]
+        tree = [0.0, *self._weights] + [0.0] * (self._cap - len(self._weights))
         for i in range(1, self._cap + 1):
             j = i + (i & (-i))
             if j <= self._cap:
@@ -93,7 +99,34 @@ class _Fenwick:
                 value -= tree[nxt]
                 idx = nxt
             bit >>= 1
-        return min(idx, self._n - 1)
+        return min(idx, len(self._weights) - 1)
+
+
+def fenwick_sizes(params: SimParams, replica: int = 0) -> np.ndarray:
+    """Final project sizes of one run of the Fenwick process on the replica's stream.
+
+    Each arrival draws a branch uniform u and founds a project if u < p0;
+    otherwise it draws v and joins the project that a Fenwick tree over the
+    weights x**alpha finds for v times their sum.
+    """
+    u = stream_for(params.seed, replica)
+    alpha = params.alpha
+    tree = _Fenwick(min(params.n_steps, 1024))
+    tree.append(1.0)
+    sizes, total = [1], 1.0
+    for _ in range(params.n_steps - 1):
+        if u.next() < params.p0:
+            tree.append(1.0)
+            sizes.append(1)
+            total += 1.0
+        else:
+            r = tree.find(u.next() * total)
+            x = sizes[r]
+            sizes[r] = x + 1
+            delta = float(x + 1) ** alpha - float(x) ** alpha
+            tree.add(r, delta)
+            total += delta
+    return np.array(sizes, dtype=np.int64)
 
 
 class SimState:
@@ -103,24 +136,19 @@ class SimState:
     place (a per-step copy would turn the run quadratic).
     """
 
-    __slots__ = ("step", "n_projects", "_sizes", "_slots", "_alpha", "sum_alpha_weights", "_fenwick")
+    __slots__ = ("step", "n_projects", "x_max", "x_min", "_sizes", "_slots", "_per_size")
 
-    def __init__(self, n_steps: int, alpha: float):
+    def __init__(self, n_steps: int):
         self.step = 1
         self.n_projects = 1
-        self._alpha = alpha
+        self.x_max = self.x_min = 1
         self._sizes = np.zeros(n_steps, dtype=np.int64)
         self._sizes[0] = 1
-        if alpha == 1.0:
-            # slot s holds the project of the s-th placed developer
-            self._slots = np.zeros(n_steps, dtype=np.int64)
-            self._fenwick = None
-            self.sum_alpha_weights = 1.0
-        else:
-            self._slots = None
-            self._fenwick = _Fenwick(min(n_steps, 1024))
-            self._fenwick.append(1.0)
-            self.sum_alpha_weights = 1.0
+        # slot s holds the project of the s-th placed developer
+        self._slots = np.zeros(n_steps, dtype=np.int64)
+        # the number of projects of each size
+        self._per_size = np.zeros(n_steps + 2, dtype=np.int64)
+        self._per_size[1] = 1
 
     @property
     def project_sizes(self) -> np.ndarray:
@@ -133,44 +161,64 @@ class SimState:
 
     def _found(self) -> None:
         self._sizes[self.n_projects] = 1
-        if self._slots is not None:
-            self._slots[self.step] = self.n_projects
-        else:
-            self._fenwick.append(1.0)
-            self.sum_alpha_weights += 1.0
+        self._slots[self.step] = self.n_projects
+        self._per_size[1] += 1
+        self.x_min = 1
         self.n_projects += 1
         self.step += 1
 
     def _join(self, project: int) -> None:
-        x = self._sizes[project]
+        x = int(self._sizes[project])
         self._sizes[project] = x + 1
-        if self._slots is not None:
-            self._slots[self.step] = project
-            self.sum_alpha_weights += 1.0
-        else:
-            delta = float(x + 1) ** self._alpha - float(x) ** self._alpha
-            self._fenwick.add(project, delta)
-            self.sum_alpha_weights += delta
+        self._slots[self.step] = project
+        self._per_size[x] -= 1
+        self._per_size[x + 1] += 1
+        self.x_max = max(self.x_max, x + 1)
+        if x == self.x_min and self._per_size[x] == 0:
+            self.x_min = x + 1
         self.step += 1
 
 
 def initial_state(params: SimParams) -> SimState:
     """State after the forced founding at N=1: one project of size 1."""
-    return SimState(params.n_steps, params.alpha)
+    return SimState(params.n_steps)
+
+
+def _propose(state: SimState, alpha: float, v: float, w: float) -> int:
+    """The project that v proposes at alpha != 1 if w accepts it, else -1."""
+    k, n = state.step, state.n_projects
+    if alpha > 1.0:
+        r = int(state._slots[int(v * k)])
+        x = int(state._sizes[r])
+        return r if w < (x / state.x_max) ** (alpha - 1.0) else -1
+    if alpha < 0.0:
+        r = int(v * n)
+        x = int(state._sizes[r])
+        return r if w < (x / state.x_min) ** alpha else -1
+    if v < 1.0 - alpha:
+        r = min(int(v / (1.0 - alpha) * n), n - 1)
+    else:
+        r = int(state._slots[min(int((v - (1.0 - alpha)) / alpha * k), k - 1)])
+    z = int(state._sizes[r]) / (k / n)
+    return r if w * ((1.0 - alpha) + alpha * z) < z**alpha else -1
 
 
 def _draw(state: SimState, params: SimParams, u: UniformStream) -> int:
     """Draw one arrival's decision on the frozen state.
 
     Returns -1 for a founding, otherwise the index of the project joined.
-    Consumes one uniform for the branch and, on a join, one more for the
-    target.
+    Consumes one uniform for the branch; a join then consumes one more at
+    alpha = 1 and pairs until one is accepted at any other alpha.
     """
     if u.next() < params.p0:
         return -1
-    if state._slots is not None:
+    if params.alpha == 1.0:
         return int(state._slots[int(u.next() * state.step)])
-    return state._fenwick.find(u.next() * state.sum_alpha_weights)
+    while True:
+        v = u.next()
+        r = _propose(state, params.alpha, v, u.next())
+        if r >= 0:
+            return r
 
 
 def step(state: SimState, params: SimParams, u: UniformStream) -> SimState:
@@ -185,8 +233,8 @@ def step(state: SimState, params: SimParams, u: UniformStream) -> SimState:
 
 def stepping_run(params: SimParams, replica: int = 0):
     """One `step` per arrival on the replica's stream, recording each checkpoint
-    as it is reached. Returns the checkpoints and the slot array (at alpha=1,
-    the project of every arrival; None at other alpha)."""
+    as it is reached. Returns the checkpoints and the slot array, the project
+    of every arrival."""
     u = stream_for(params.seed, replica)
     state = initial_state(params)
     pending = list(params.checkpoints)

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from forgesim import DomainError, SimParams, replicate, run
+from forgesim.cli import main
+from forgesim.report import read_table
 from forgesim.simulate import _BLOCK, _arrival_projects
-from stepping import _draw, _Fenwick, initial_state, step, stepping_run, stream_for
+from stepping import (_draw, _Fenwick, fenwick_sizes, initial_state, step, stepping_run,
+                      stream_for)
 
 
 class TestParams:
@@ -154,42 +158,46 @@ class TestVectorisedCore:
 
 
 class TestFenwickCore:
+    """The alpha != 1 core, rejection from envelopes of x**alpha, against the
+    stepping loop bit for bit."""
+
     @settings(max_examples=12, deadline=None)
     @given(
-        alpha=st.sampled_from([0.5, 0.7, 1.5, 2.0]),
+        alpha=st.sampled_from([-1.0, 0.0, 0.5, 0.7, 1.5, 2.0]),
         p0=st.floats(0.2, 0.95),
-        doublings=st.integers(0, 2),
+        # the longer runs read more than one block of the stream
+        n_steps=st.one_of(st.integers(1, 3000), st.integers(30_000, 40_000)),
         seed=st.integers(0, 2**64 - 1),
         replica=st.integers(0, 2),
         full_history=st.booleans(),
         data=st.data(),
     )
-    def test_run_equals_stepping_loop(self, alpha, p0, doublings, seed, replica, full_history,
+    def test_run_equals_stepping_loop(self, alpha, p0, n_steps, seed, replica, full_history,
                                       data):
-        # about 1.3 x 1024 * 2**doublings projects: the tree's capacity starts
-        # at 1024 and doubles doublings + 1 times
-        capacity = 1024 << doublings
-        n_steps = int(1.3 * capacity / p0)
         checkpoints = data.draw(st.one_of(
             st.none(), st.lists(st.integers(1, n_steps), min_size=1, max_size=6)))
         params = SimParams(p0=p0, n_steps=n_steps, seed=seed, alpha=alpha,
                            full_history=full_history,
                            checkpoints=None if checkpoints is None else tuple(checkpoints))
         expected, _ = stepping_run(params, replica=replica)
-        trace = run(params, replica=replica)
-        _assert_same_checkpoints(trace, expected)
-        if trace.final.step == n_steps:
-            assert trace.final.n_projects > capacity
+        _assert_same_checkpoints(run(params, replica=replica), expected)
 
-    # SHA-256 of every checkpoint of these runs, recorded at commit 5b32edd. The
-    # stepping oracle shares the core's generator and block reads, so a change
-    # to those passes the test above; these digests pin the outputs themselves.
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.5, 3.0])
+    def test_runs_across_blocks_equal_stepping_loop(self, alpha):
+        # 32,000 joins of two or more uniforms each read past the first block
+        params = SimParams(p0=0.2, n_steps=40_000, seed=33, alpha=alpha,
+                           checkpoints=(5, 20_000, 40_000), full_history=True)
+        _assert_same_checkpoints(run(params), stepping_run(params)[0])
+
+    # SHA-256 of every checkpoint of these runs, recorded with the rejection
+    # core. The stepping oracle shares the core's generator and stream reads,
+    # so a change to those passes the test above; these digests pin the
+    # outputs themselves.
     @pytest.mark.parametrize("alpha, digest", [
-        (0.7, "70e27e193e8a34818b61626aed155ebd70e55ef2d75b2792eb351b78ddf14c5b"),
-        (1.5, "4c63d2ceb8e53673b11f3c33285c0d66e1687778c151689bff1b2f22f6405a83"),
+        (0.7, "36f1f46348716195627ed9e007e28370c341b67d2108109b57ee851b4bc305af"),
+        (1.5, "9831ae367c01d30d9dc6a4255c21dcbb85eb5c3b1b74bad5c2d4c9c17e9325f0"),
     ])
     def test_outputs_match_recorded_digests(self, alpha, digest):
-        # about 1.8e4 projects: the tree's capacity doubles from 1024 five times
         params = SimParams(p0=0.3, n_steps=60_000, seed=2015, alpha=alpha,
                            checkpoints=(1_000, 5_000, 20_000, 60_000), full_history=True)
         sha = hashlib.sha256()
@@ -260,19 +268,107 @@ class TestSelectionTally:
             expected_weight_of=lambda x, n_x: (1 - params.p0) * x * n_x / n,
         )
 
-    def test_general_alpha_matches_analytic_weights(self):
-        params = SimParams(p0=0.5, n_steps=3000, seed=19, alpha=0.5)
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, -1.0])
+    def test_general_alpha_matches_analytic_weights(self, alpha):
+        params = SimParams(p0=0.5, n_steps=3000, seed=19, alpha=alpha)
         state = initial_state(params)
         u = stream_for(params.seed)
         for _ in range(params.n_steps - 1):
             step(state, params, u)
-        sizes = state.project_sizes.astype(float)
-        total_w = float((sizes**0.5).sum())
-        assert total_w == pytest.approx(state.sum_alpha_weights, rel=1e-9)
+        sizes = state.project_sizes
+        assert (state.x_min, state.x_max) == (sizes.min(), sizes.max())
+        total_w = float((sizes.astype(float) ** alpha).sum())
         _tally_against_weights(
             params, state, 1_000_000, seed=20,
-            expected_weight_of=lambda x, n_x: (1 - params.p0) * (x**0.5) * n_x / total_w,
+            expected_weight_of=lambda x, n_x: (1 - params.p0) * (x**alpha) * n_x / total_w,
         )
+
+
+def _exact_multisets(p0, alpha, n_steps):
+    """The probability of each sorted tuple of final sizes, by enumerating the
+    process's transitions from the forced founding."""
+    dist = {(1,): 1.0}
+    for _ in range(n_steps - 1):
+        after = {}
+        for sizes, p in dist.items():
+            weights = [x**alpha for x in sizes]
+            total = sum(weights)
+            moves = [((1, *sizes), p * p0)]
+            moves += [((*sizes[:i], x + 1, *sizes[i + 1:]), p * (1 - p0) * w / total)
+                      for i, (x, w) in enumerate(zip(sizes, weights))]
+            for state, q in moves:
+                key = tuple(sorted(state))
+                after[key] = after.get(key, 0.0) + q
+        dist = after
+    return dist
+
+
+class TestExactDistribution:
+    """`run` at alpha != 1 against the law of the process, computed without
+    the simulator."""
+
+    @pytest.mark.parametrize("p0", [0.3, 0.7])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.5, 3.0])
+    def test_final_sizes_follow_the_enumerated_law(self, alpha, p0):
+        n_steps, n_runs = 6, 1000
+        params = SimParams(p0=p0, n_steps=n_steps, seed=6060, alpha=alpha, full_history=True)
+        seen = {}
+        for r in range(n_runs):
+            key = tuple(sorted(run(params, replica=r).final.sizes))
+            seen[key] = seen.get(key, 0) + 1
+        law = _exact_multisets(p0, alpha, n_steps)
+        assert set(seen) <= set(law)
+        # pool the outcomes expected fewer than 5 times into one cell
+        cells = sorted(law, key=law.get, reverse=True)
+        big = [c for c in cells if law[c] * n_runs >= 5]
+        observed = [seen.get(c, 0) for c in big] + [n_runs - sum(seen.get(c, 0) for c in big)]
+        expected = [law[c] * n_runs for c in big] + [n_runs * (1 - sum(law[c] for c in big))]
+        if expected[-1] < 5:
+            observed[-2:] = [observed[-2] + observed[-1]]
+            expected[-2:] = [expected[-2] + expected[-1]]
+        stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert chi2.sf(stat, len(expected) - 1) > 1e-3
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.5])
+    def test_class_counts_match_the_fenwick_process(self, alpha):
+        # n(x) for x <= 8 and the largest size, averaged over 30 replicas of
+        # each process, agree within 4.5 standard errors of their difference
+        n_runs = 30
+        params = SimParams(p0=0.3, n_steps=2000, seed=7070, alpha=alpha, full_history=True)
+
+        def statistics(sizes):
+            return [*np.bincount(sizes, minlength=9)[1:9], sizes.max()]
+
+        new = np.array([statistics(np.array(run(params, replica=r).final.sizes))
+                        for r in range(n_runs)], dtype=float)
+        old = np.array([statistics(fenwick_sizes(params, replica=100 + r))
+                        for r in range(n_runs)], dtype=float)
+        gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
+        se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / n_runs)
+        assert np.all(gap <= 4.5 * se)
+
+
+class TestLargeAlpha:
+    """Exponents whose weights x**alpha overflow or underflow float64; the
+    core forms only ratios of at most 1."""
+
+    @pytest.mark.parametrize("alpha, n_steps", [(150.0, 4000), (-150.0, 600)])
+    def test_run_places_everyone(self, alpha, n_steps):
+        params = SimParams(p0=0.5, n_steps=n_steps, seed=1, alpha=alpha)
+        final = run(params).final
+        d = final.distribution
+        assert float(np.dot(d.sizes, d.counts)) == n_steps
+        assert final.n_projects == d.counts.sum() == stepping_run(params)[0][-1].n_projects
+
+    @pytest.mark.parametrize("alpha, n_steps", [(150.0, 4000), (-150.0, 600)])
+    def test_cli_exits_0(self, tmp_path, alpha, n_steps):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--p0", "0.5", "--steps", str(n_steps), "--seed", "1",
+                     "--alpha", str(alpha), "--output-dir", str(out)]) == 0
+        _, _, rows = read_table(out / "mean_distribution.csv")
+        assert sum(int(size) * float(count) for size, count in rows) == n_steps
+        expected = run(SimParams(p0=0.5, n_steps=n_steps, seed=1, alpha=alpha)).final.n_projects
+        assert sum(float(count) for _, count in rows) == expected
 
 
 class TestReplicate:
