@@ -9,6 +9,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -337,6 +338,8 @@ def cmd_rateeq(args, manifest: RunManifest) -> int:
     ])
 
 
+# parse_args leaves the parser as it found it, so one parser serves every main call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="forgesim",

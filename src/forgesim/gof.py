@@ -11,7 +11,6 @@ the observed one.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +120,8 @@ def bootstrap_pvalue(
     bounds = [n_bootstrap * k // n_blocks for k in range(n_blocks + 1)]
     tasks = [(fit.rho_hat, n, seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             stats = np.concatenate(list(pool.map(_replica_block, tasks)))
     else:

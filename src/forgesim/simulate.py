@@ -40,15 +40,19 @@ stepping loop read in chunks of different sizes; Philox gives the same
 sequence however it is chunked.
 
 `run` has one core for alpha = 1 and one for any other alpha. At alpha = 1
-the core resolves the whole run without a per-arrival loop, reading the
-stream in blocks of _BLOCK: it locates every branch draw in each block with
-one running maximum, links each joiner to the arrival it copies, and finds
-every arrival's founder by pointer jumping. At any other alpha the core
-places one arrival at a time in a loop over Python lists and an array of
-every arrival's project. Both cores give bit for bit what a per-arrival
-stepping loop gives on the same stream; the tests hold such a loop as their
-oracle, and a Fenwick-tree search over the weights x**alpha as a second
-realisation of the alpha != 1 process.
+the core resolves the whole run without a per-arrival loop. It reads the
+stream in blocks of at most _BLOCK, each no longer than the two uniforms per
+arrival still to place (plus a carried target) can use, so a run's last
+block is short and may be a single carried target. In each block one running
+maximum of run starts locates every branch draw, by the low bit of an int32
+offset, and a join's arrival follows from its position and the joins before
+it. Each joiner is linked to the arrival it copies, and pointer jumping finds
+every arrival's founder, each pass over only the arrivals whose link does not
+yet reach a founder. At any other alpha the core places one arrival at a time
+in a loop over Python lists and an array of every arrival's project. Both
+cores give bit for bit what a per-arrival stepping loop gives on the same
+stream; the tests hold such a loop as their oracle, and a Fenwick-tree search
+over the weights x**alpha as a second realisation of the alpha != 1 process.
 
 Randomness comes from numpy's counter-based Philox generator; replica r of a
 run derives its stream deterministically as SeedSequence(seed, spawn_key=(r,)),
@@ -79,6 +83,8 @@ __all__ = [
 GENERATOR_ID = f"numpy.random.Philox numpy=={np.__version__}"
 
 _BLOCK = 1 << 16
+_OFFSETS = np.arange(_BLOCK, dtype=np.int32)
+_OFFSETS.setflags(write=False)
 
 
 def _generator(seed: int, replica: int) -> np.random.Generator:
@@ -142,36 +148,50 @@ class SimTrace:
 def _copy_links(params: SimParams, replica: int) -> np.ndarray:
     """The arrival each arrival of an alpha=1 run copies, or itself for a founder.
 
-    Reads the replica's stream block by block. Position i of the stream is a
-    branch draw exactly when position i-1 is not a join's branch draw, so
-    inside a run of joins (u >= p0) the branch draws sit at even offsets from
-    the run's start, and one running maximum of run starts places them all.
-    A join's next uniform v makes arrival k copy arrival floor(v * k); when
-    that uniform opens the next block, the join is carried over to it.
+    Reads the replica's stream block by block, each block no longer than the
+    two uniforms per arrival still to place, plus a carried target, can use.
+    Position i of the stream is a branch draw exactly when position i-1 is
+    not a join's branch draw, so inside a run of joins (u >= p0) the branch
+    draws sit at even offsets from the run's start, and one running maximum of
+    run starts places them all. Before a join's branch draw a block holds the
+    branch draws of its earlier arrivals, one target per earlier join and any
+    carried target, so the join's position less the joins before it gives its
+    arrival. A join's next uniform v makes arrival k copy arrival
+    floor(v * k); when that uniform opens the next block, the join is carried
+    over to it.
     """
     n = params.n_steps
     parent = np.arange(n, dtype=np.int64)
     generator = _generator(params.seed, replica)
-    offsets = np.arange(_BLOCK, dtype=np.int64)
     k = 1  # next arrival to place; arrival 0 is the forced founding and draws nothing
     carried = False
     while k < n or carried:
-        u = generator.random(_BLOCK)
+        m = min(_BLOCK, 2 * (n - k) + carried)
+        u = generator.random(m)
+        join = u >= params.p0
         if carried:
             parent[k - 1] = int(u[0] * (k - 1))
-        join = u >= params.p0
-        starts = np.where(join, -1, offsets + 1)  # the position after a non-join opens a run
-        starts[1:] = starts[:-1]
-        starts[0] = -1 if carried else 0  # a carried target shifts the parity by one
+            join[0] = False  # a target, so a run opens after it
+        # position i opens a run when position i-1 is not a join; the running
+        # maximum carries each run's start over its joins
+        starts = np.empty(m, dtype=np.int32)
+        starts[0] = 0
+        np.multiply(_OFFSETS[1:m], ~join[:-1], out=starts[1:])
         np.maximum.accumulate(starts, out=starts)
-        branch = np.flatnonzero((offsets - starts) % 2 == 0)[: n - k]
-        nth = np.flatnonzero(join[branch])
-        joined, arrivals = branch[nth], k + nth
-        carried = joined.size > 0 and joined[-1] == _BLOCK - 1
+        starts ^= _OFFSETS[:m]  # bit 0 is set at odd offsets from the run's start
+        branch_join = (starts & 1) == 0
+        branch_join &= join
+        joined = np.flatnonzero(branch_join)
+        arrivals = k - carried + joined - np.arange(joined.size)
+        joined = joined[: np.searchsorted(arrivals, n)]  # the last block may run past n
+        arrivals = arrivals[: joined.size]
+        carried_in = carried
+        carried = bool(joined.size) and joined[-1] == m - 1
         if carried:
             joined, arrivals = joined[:-1], arrivals[:-1]
         parent[arrivals] = (u[joined + 1] * arrivals).astype(np.int64)
-        k += branch.size
+        # besides its targets, a block holds one branch draw per arrival it placed
+        k = min(n, k + m - carried_in - joined.size)
     return parent
 
 
@@ -179,15 +199,20 @@ def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
     """Project index of every arrival of an alpha=1 run, bit for bit as the stepping loop gives it.
 
     Every copy link points to an earlier arrival, so pointer jumping over the
-    links reaches each arrival's founder in O(log depth) passes; projects are
-    numbered in founding order.
+    links reaches each arrival's founder in O(log depth) passes. Each pass
+    jumps only the arrivals whose link does not yet reach a founder; projects
+    are numbered in founding order.
     """
     parent = _copy_links(params, replica)
     founder = parent == np.arange(parent.size)
-    while not np.array_equal(root := parent[parent], parent):
-        parent = root
-    ids = np.cumsum(founder)
-    ids -= 1
+    roots = np.flatnonzero(founder)
+    ids = np.empty(parent.size, dtype=np.int64)
+    ids[roots] = np.arange(roots.size)
+    pending = np.flatnonzero(~founder[parent])
+    while pending.size:
+        up = parent[parent[pending]]
+        parent[pending] = up
+        pending = pending[~founder[up]]
     return ids[parent]
 
 

@@ -411,6 +411,22 @@ class TestOutputContract:
         assert last[1] != first[1] and last[0] != first[0]
         assert (last[0]["checkpoint"], first[0]["checkpoint"]) == ("", "100")
 
+    def test_successive_runs_share_no_appended_flags(self, tmp_path):
+        """main reuses one parser; a repeatable flag of one run is not in the next."""
+        simulate = ["simulate", "--p0", "0.5", "--steps", "300", "--seed", "1"]
+        rateeq = ["rateeq", "--p0", "0.5", "--steps", "300"]
+        runs = [(simulate + ["--checkpoint-at", "100"], "checkpoint_at", "100"),
+                (simulate + ["--checkpoint-at", "200"], "checkpoint_at", "200"),
+                (simulate, "checkpoint_at", ""),
+                (rateeq + ["--record-at", "50"], "record_at", "50"),
+                (rateeq + ["--record-at", "60", "--record-at", "70"], "record_at", "60,70"),
+                (rateeq, "record_at", "")]
+        for i, (argv, flag, recorded) in enumerate(runs):
+            out = tmp_path / str(i)
+            assert main(argv + ["--output-dir", str(out)]) == 0
+            assert manifest_params(out, argv[0])[flag] == recorded
+        assert _build_parser() is _build_parser()
+
     @pytest.mark.parametrize("argv, message", [
         (["p0", "ONE_MONTH", "--gap-mask", "MASK"], "no usable months"),
         (["rateeq", "--p0", "1.5", "--steps", "10"], "p0 must lie in"),
@@ -583,6 +599,15 @@ class TestStartup:
 
     def test_cli_import_loads_no_scipy(self):
         assert self._run("import sys, forgesim.cli; " + self.LOADED_SCIPY) == "[]"
+
+    def test_cli_and_serial_gof_load_no_process_pool(self, yule_sample_file, tmp_path):
+        # only gof and simulate with --jobs above 1 start worker processes
+        loaded_pool = "print('concurrent.futures.process' in sys.modules)"
+        assert self._run("import sys, forgesim.cli; " + loaded_pool) == "False"
+        argv = ["gof", yule_sample_file, "--bootstrap", "100", "--seed", "1", "--jobs", "1",
+                "--output-dir", str(tmp_path / "gof")]
+        code = f"import sys; from forgesim.cli import main\nassert main({argv!r}) == 0\n"
+        assert self._run(code + loaded_pool) == "False"
 
     def test_commands_load_no_scipy(self, yule_sample_file, tmp_path):
         runs = [["fit", yule_sample_file],

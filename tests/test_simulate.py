@@ -11,7 +11,7 @@ from scipy.stats import chi2
 from forgesim import DomainError, SimParams, replicate, run
 from forgesim.cli import main
 from forgesim.report import read_table
-from forgesim.simulate import _BLOCK, _arrival_projects
+from forgesim.simulate import _BLOCK, _arrival_projects, _copy_links
 from stepping import (_draw, _Fenwick, fenwick_sizes, initial_state, step, stepping_run,
                       stream_for)
 
@@ -113,6 +113,15 @@ def _assert_same_checkpoints(trace, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _trace_digest(trace) -> str:
+    """SHA-256 of every checkpoint of a full-history trace."""
+    sha = hashlib.sha256()
+    for cp in trace.checkpoints:
+        sha.update(np.array([cp.step, cp.n_projects, *cp.sizes], "<i8").tobytes())
+        sha.update(np.asarray(cp.distribution.counts, "<f8").tobytes())
+    return sha.hexdigest()
+
+
 # Near these n_steps the 2(n-1) uniforms of an all-join run straddle a block
 # boundary, so a join's branch draw can be a block's last uniform.
 _STRADDLING = sorted({m * _BLOCK // 2 + 1 + d for m in range(1, 10) for d in (-2, -1, 0, 1, 2)})
@@ -140,7 +149,9 @@ class TestVectorisedCore:
             _assert_same_checkpoints(trace, expected)
             assert np.array_equal(_arrival_projects(params, replica=r), slots)
 
-    @pytest.mark.parametrize("p0", [1e-3, 0.5])
+    # at p0 <= 0.01 copy chains are deep, and the pointer jump takes several
+    # passes over a slowly shrinking set of arrivals
+    @pytest.mark.parametrize("p0", [1e-3, 0.01, 0.5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_block_boundaries(self, p0, seed):
         params = SimParams(p0=p0, n_steps=5 * _BLOCK // 2 + 3, seed=seed)
@@ -149,6 +160,45 @@ class TestVectorisedCore:
     def test_criterion_9_realisation(self):
         params = SimParams(p0=0.3, n_steps=100_000, seed=21)
         assert np.array_equal(_arrival_projects(params), stepping_run(params)[1])
+
+    @pytest.mark.parametrize("n_steps", [2, 3])
+    @pytest.mark.parametrize("p0", [1e-3, 0.5, 0.999])
+    def test_shortest_runs(self, n_steps, p0):
+        # the only block holds at most 2(n-1) uniforms
+        for seed in range(20):
+            params = SimParams(p0=p0, n_steps=n_steps, seed=seed, full_history=True)
+            expected, slots = stepping_run(params)
+            _assert_same_checkpoints(run(params), expected)
+            assert np.array_equal(_arrival_projects(params), slots)
+
+    @pytest.mark.parametrize("p0, seed, n_steps", [(0.5, 3, 43_660), (0.01, 2, 32_944)])
+    def test_last_target_opens_a_one_uniform_block(self, p0, seed, n_steps):
+        # the last arrival is a join whose branch draw ends the first block,
+        # so the core reads its target as a block of one uniform
+        params = SimParams(p0=p0, n_steps=n_steps, seed=seed)
+        u, state = stream_for(seed), initial_state(params)
+        for _ in range(n_steps - 2):
+            step(state, params, u)
+        last = u.next()
+        assert last >= p0 and u._pos == _BLOCK
+        assert np.array_equal(_arrival_projects(params), stepping_run(params)[1])
+
+    @pytest.mark.parametrize("p0", [0.01, 2 / 3, 0.95])
+    def test_pointer_jump_reaches_the_full_fixed_point(self, p0):
+        params = SimParams(p0=p0, n_steps=150_000, seed=8)
+        parent = _copy_links(params, 0)
+        founder = parent == np.arange(parent.size)
+        while not np.array_equal(root := parent[parent], parent):
+            parent = root
+        assert np.array_equal(_arrival_projects(params), np.cumsum(founder)[parent] - 1)
+
+    def test_outputs_match_recorded_digest(self):
+        # recorded before the core's blocks were sized to the arrivals left;
+        # the checkpoints fall in five of the run's six blocks of the stream
+        params = SimParams(p0=0.3, n_steps=200_000, seed=2015, full_history=True,
+                           checkpoints=(1, 1_000, 40_000, 77_777, 150_001, 200_000))
+        assert _trace_digest(run(params, replica=1)) == (
+            "e2ad8b9cbf210e4d21d42b6b9a85d654f8c3967d8a7ec06a9972652e717ec251")
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_fenwick_run_equals_stepping_loop(self, alpha):
@@ -200,11 +250,7 @@ class TestFenwickCore:
     def test_outputs_match_recorded_digests(self, alpha, digest):
         params = SimParams(p0=0.3, n_steps=60_000, seed=2015, alpha=alpha,
                            checkpoints=(1_000, 5_000, 20_000, 60_000), full_history=True)
-        sha = hashlib.sha256()
-        for cp in run(params, replica=1).checkpoints:
-            sha.update(np.array([cp.step, cp.n_projects, *cp.sizes], "<i8").tobytes())
-            sha.update(np.asarray(cp.distribution.counts, "<f8").tobytes())
-        assert sha.hexdigest() == digest
+        assert _trace_digest(run(params, replica=1)) == digest
 
 
 class TestStep:
