@@ -6,11 +6,12 @@ new project (probability p0) or join an existing one with probability
 proportional to its size. The stationary project-size distribution is
 Yule-Simon with rho = 1/(1-p0). The toolkit simulates the process, iterates
 its mean-field rate equations, fits and tests the Yule-Simon distribution on
-snapshot data (with an EM correction for non-collaborative singletons), and
-computes the empirical growth/entry/exit estimators used alongside it.
+monthly project-size histograms (with an EM correction for non-collaborative
+singletons), and computes the empirical growth/entry/exit estimators used
+alongside it.
 """
 
-from .distributions import DegreeDistribution, SizeDistribution
+from .distributions import SizeDistribution
 from .em import EMResult, em_fit, predicted_collaborative_entries
 from .errors import (
     AlignmentError,
@@ -59,13 +60,9 @@ from .snapshots import (
     EntryExitCounts,
     MonthSweep,
     Snapshot,
-    SnapshotSummary,
-    developer_degree_distribution,
     entry_exit_counts,
     month_sweep,
-    project_size_distribution,
     snapshot_at,
-    summarize,
 )
 from .yule import (
     YuleFit,

@@ -132,14 +132,16 @@ def _load_mask(args, manifest: RunManifest) -> frozenset[int]:
 
 
 def _load_distribution(args, manifest: RunManifest) -> tuple[SizeDistribution, str]:
-    """Distribution from a size,count table, a trace file, or events+month."""
+    """Distribution from a size,count table, a trace file, or events+month;
+    a month's histogram is the one row of a one-month sweep."""
     path = args.input
     if args.month is not None:
         if args.checkpoint is not None:
             raise UsageError("--checkpoint applies to a trace, not to --month")
         log = _load_events(path, manifest)
-        snap = snapshots.snapshot_at(log, args.month)
-        return snapshots.project_size_distribution(snap), str(args.month)
+        month = snapshots._observed_month(log, args.month)
+        sweep = snapshots.month_sweep(log, month, month)
+        return SizeDistribution(sweep.sizes, sweep.size_counts[0]), str(month)
     manifest.add_input(path)
     _, header, rows = read_table(path)
     cols = {name: i for i, name in enumerate(header)}
@@ -230,20 +232,15 @@ def cmd_analyze(args, manifest: RunManifest) -> int:
     manifest.params["months"] = f"{lo}:{hi}"
 
     sweep = snapshots.month_sweep(log, lo, hi)
-    summaries, summary_rows = [], []
-    for m, n_developers, n_projects, n_links in zip(
-            sweep.months.tolist(), sweep.n_developers.tolist(), sweep.n_projects.tolist(),
-            sweep.n_links.tolist()):
-        if m in mask:
-            summary_rows.append((m, "", "", "", 1))
-            continue
-        summaries.append(snapshots.SnapshotSummary(m, n_developers, n_projects, n_links))
-        summary_rows.append((m, n_developers, n_projects, n_links, 0))
+    summary_rows = [(m, "", "", "", 1) if m in mask else (m, d, p, n, 0)
+                    for m, d, p, n in zip(sweep.months.tolist(), sweep.n_developers.tolist(),
+                                          sweep.n_projects.tolist(), sweep.n_links.tolist())]
     unmasked = np.array([m not in mask for m in range(lo, hi + 1)])
     counts = snapshots.entry_exit_counts(log, (lo, hi))
     # a month has an active project exactly when it has an active developer,
     # so both series cover the same months
-    rates_p, rates_d = estimators.relative_entry_rates(summaries, mask)
+    rates_p, rates_d = estimators.relative_entry_rates(
+        sweep.months, sweep.n_projects, sweep.n_developers, mask)
 
     return _write_outputs(args, manifest, [
         ("summary.csv", ["month", "n_developers", "n_projects", "n_links", "masked"],

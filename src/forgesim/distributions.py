@@ -1,6 +1,6 @@
-"""Count histograms: project-size and developer-degree distributions.
+"""The count histogram of project sizes.
 
-Both are stored sparsely as parallel (value, count) arrays. Counts are kept as
+It is stored sparsely as parallel (value, count) arrays. Counts are kept as
 floats because several consumers work with expected or corrected counts
 (mean-field solutions, replica averages, EM-corrected histograms), not only
 integer tallies.
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SizeDistribution", "DegreeDistribution"]
+__all__ = ["SizeDistribution"]
 
 
 def _normalise(values, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +39,9 @@ def _normalise(values, counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class _Histogram:
+class SizeDistribution:
+    """Histogram n(x): number of projects with exactly x distinct developers."""
+
     values: np.ndarray
     counts: np.ndarray
 
@@ -49,11 +51,11 @@ class _Histogram:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_samples(cls, samples: Iterable[int]):
-        samples = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples)
-        if samples.size == 0:
+    def from_sizes(cls, sizes: Iterable[int]) -> "SizeDistribution":
+        sizes = np.asarray(list(sizes) if not isinstance(sizes, np.ndarray) else sizes)
+        if sizes.size == 0:
             return cls(np.empty(0, dtype=np.int64), np.empty(0))
-        values, counts = np.unique(samples, return_counts=True)
+        values, counts = np.unique(sizes, return_counts=True)
         return cls(values, counts.astype(np.float64))
 
     @classmethod
@@ -86,11 +88,6 @@ class _Histogram:
     def __len__(self) -> int:
         return int(self.values.size)
 
-
-@dataclass(frozen=True)
-class SizeDistribution(_Histogram):
-    """Histogram n(x): number of projects with exactly x distinct developers."""
-
     @property
     def sizes(self) -> np.ndarray:
         return self.values
@@ -107,27 +104,3 @@ class SizeDistribution(_Histogram):
         keep = self.values >= min_size
         return SizeDistribution(self.values[keep], self.counts[keep])
 
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int]) -> "SizeDistribution":
-        return cls.from_samples(sizes)
-
-
-@dataclass(frozen=True)
-class DegreeDistribution(_Histogram):
-    """Histogram over developer degrees k: number of developers with k projects."""
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def n_developers(self) -> float:
-        return float(self.counts.sum())
-
-    @property
-    def n_links(self) -> float:
-        return float((self.values * self.counts).sum())
-
-    @classmethod
-    def from_degrees(cls, degrees: Iterable[int]) -> "DegreeDistribution":
-        return cls.from_samples(degrees)

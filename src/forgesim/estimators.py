@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AlignmentError, DegenerateDataError, DomainError, require_integer,
                      require_month_array, require_months)
 from .events import MembershipEventLog, _reach
-from .snapshots import SnapshotSummary, _month_bounds, _tally, snapshot_at
+from .snapshots import _month_bounds, _tally, snapshot_at
 
 __all__ = [
     "GrowthFit",
@@ -133,15 +133,22 @@ def _entry_rate(name, months, totals, mask) -> EntryRateSeries:
 
 
 def relative_entry_rates(
-    summaries: Sequence[SnapshotSummary],
+    months: Sequence[int],
+    n_projects: Sequence[float],
+    n_developers: Sequence[float],
     mask: frozenset[int] | set[int] | None = None,
 ) -> tuple[EntryRateSeries, EntryRateSeries]:
-    """(projects, developers) relative monthly entry rate series."""
+    """(projects, developers) relative monthly entry rate series of the
+    active project and developer counts of each month."""
     mask = require_months("mask", () if mask is None else mask)
-    months = [s.month for s in summaries]
-    projects = _entry_rate("n_projects", months, [s.n_projects for s in summaries], mask)
-    developers = _entry_rate("n_developers", months, [s.n_developers for s in summaries], mask)
-    return projects, developers
+    months = require_month_array("months", months)
+    projects = np.asarray(n_projects, dtype=np.float64)
+    developers = np.asarray(n_developers, dtype=np.float64)
+    if not (months.size == projects.size == developers.size):
+        raise AlignmentError("months, n_projects, n_developers must align")
+    months = months.tolist()
+    return (_entry_rate("n_projects", months, projects.tolist(), mask),
+            _entry_rate("n_developers", months, developers.tolist(), mask))
 
 
 # ---------------------------------------------------------------------------

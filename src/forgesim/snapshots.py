@@ -1,13 +1,14 @@
-"""Monthly bipartite snapshots and their derived summaries.
+"""Monthly views of the bipartite membership graph: histograms and entry/exit counts.
 
 A link (developer, project) is active in month t iff entry_month <= t and
-(no exit or exit_month > t), counted once per pair. A snapshot is a view of
-the log's merged rows in one month; `fit`, `gof` and `em --month` and
-`size_dependent_growth` read snapshots. `month_sweep` gives every month of a
-range at once, its link count and its project-size and developer-degree
-histograms, from one pass over the rows; `analyze` reads it. Everything here
-is a pure function of the immutable event log, so per-month computations are
-safe to evaluate concurrently.
+(no exit or exit_month > t), counted once per pair. `month_sweep` gives every
+month of a range at once, its link count and its project-size and
+developer-degree histograms, from one pass over the rows; `analyze` reads it,
+and `fit`, `gof` and `em --month` read its one-month case. A snapshot is a
+view of the log's merged rows in one month; `size_dependent_growth` reads the
+per-project sizes of two snapshots. Everything here is a pure function of the
+immutable event log, so per-month computations are safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -16,20 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DegreeDistribution, SizeDistribution
 from .errors import DomainError, require_integer
 from .events import MembershipEventLog
 
 __all__ = [
     "Snapshot",
-    "SnapshotSummary",
     "MonthSweep",
     "EntryExitCounts",
     "snapshot_at",
     "month_sweep",
-    "summarize",
-    "project_size_distribution",
-    "developer_degree_distribution",
     "entry_exit_counts",
 ]
 
@@ -44,47 +40,20 @@ class Snapshot:
         """Active developers per project code."""
         return np.bincount(self.log.project[self.rows], minlength=len(self.log.project_ids))
 
-    def degrees(self) -> np.ndarray:
-        """Active projects per developer code."""
-        return np.bincount(self.log.developer[self.rows], minlength=len(self.log.developer_ids))
 
-
-@dataclass(frozen=True)
-class SnapshotSummary:
-    month: int
-    n_developers: int
-    n_projects: int
-    n_links: int
-
-
-def snapshot_at(log: MembershipEventLog, month: int) -> Snapshot:
-    """The rows active in the given month."""
+def _observed_month(log: MembershipEventLog, month: int) -> int:
+    """month as an int; a month outside the log's observed range raises DomainError."""
     month = require_integer("month", month)
     lo, hi = log.month_range
     if not lo <= month <= hi:
         raise DomainError(f"month {month} outside observed range [{lo}, {hi}]")
+    return month
+
+
+def snapshot_at(log: MembershipEventLog, month: int) -> Snapshot:
+    """The rows active in the given month."""
+    month = _observed_month(log, month)
     return Snapshot(month=month, log=log, rows=log.active(month))
-
-
-def summarize(snapshot: Snapshot) -> SnapshotSummary:
-    return SnapshotSummary(
-        month=snapshot.month,
-        n_developers=int(np.count_nonzero(snapshot.degrees())),
-        n_projects=int(np.count_nonzero(snapshot.sizes())),
-        n_links=int(snapshot.rows.size),
-    )
-
-
-def project_size_distribution(snapshot: Snapshot) -> SizeDistribution:
-    """n(x): number of projects with exactly x distinct active developers."""
-    sizes = snapshot.sizes()
-    return SizeDistribution.from_sizes(sizes[sizes > 0])
-
-
-def developer_degree_distribution(snapshot: Snapshot) -> DegreeDistribution:
-    """f(k): number of developers active in exactly k projects."""
-    degrees = snapshot.degrees()
-    return DegreeDistribution.from_degrees(degrees[degrees > 0])
 
 
 @dataclass(frozen=True, eq=False)

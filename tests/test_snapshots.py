@@ -1,4 +1,5 @@
-"""Tests of snapshots: active rows, summaries, size and degree distributions, entry/exit."""
+"""Tests of snapshots and the month sweep: active rows, the snapshot loop's
+summaries and distributions, the sweep against that loop, entry/exit."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,16 @@ from event_rows import Row, active_pairs, make_log
 from forgesim import (
     DomainError,
     collaborative_entry_counts,
-    developer_degree_distribution,
     entry_exit_counts,
     month_sweep,
-    project_size_distribution,
     snapshot_at,
+)
+from snapshot_loop_oracle import (
+    developer_degree_distribution,
+    project_size_distribution,
+    snapshot_loop,
     summarize,
 )
-from snapshot_loop_oracle import snapshot_loop
 
 
 def ten_dev_eight_project_log():
@@ -201,6 +204,8 @@ def sweep_log(records):
 class TestMonthSweep:
     @given(sweep_records, st.integers(0, 12), st.integers(0, 12))
     @example(GAPPED_RECORDS, 0, 0)
+    @example(GAPPED_RECORDS, 5, 7)  # the one month [5, 5], which has no active link
+    @example(GAPPED_RECORDS, 0, 12)  # the one month [0, 0], as `--month` reads it
     @settings(max_examples=300, deadline=None)
     def test_matches_the_snapshot_loop(self, records, skip_first, skip_last):
         """Over the log's month range less skip_first months at its start and
