@@ -103,6 +103,27 @@ def _sort_key(key: np.ndarray) -> np.ndarray:
     return key
 
 
+def _row_order(proj: np.ndarray, dev: np.ndarray, entry: np.ndarray) -> np.ndarray:
+    """The stable order of rows by (project, developer, entry).
+
+    np.lexsort runs a radix sort on 16-bit keys and a comparison sort on
+    wider ones. When some key passes 2**16 and the three ranges fit 63 bits
+    together, they are packed into one int64 key, (project, developer,
+    entry - min) from high bits to low, and np.lexsort sorts its 16-bit
+    digits instead: one radix sort per digit rather than a comparison sort
+    per key.
+    """
+    keys = [_sort_key(key) for key in (entry, dev, proj)]
+    if entry.size and any(key.dtype != np.uint16 for key in keys):
+        low, mid, high = (key - key.min() for key in (entry, dev, proj))
+        w_low, w_mid = int(low.max()).bit_length(), int(mid.max()).bit_length()
+        width = w_low + w_mid + int(high.max()).bit_length()
+        if width <= 63:
+            packed = low | (mid << w_low) | (high << (w_low + w_mid))
+            keys = [((packed >> bit) & 0xFFFF).astype(np.uint16) for bit in range(0, width, 16)]
+    return np.lexsort(keys)
+
+
 def _reach(stop: np.ndarray, new_group: np.ndarray) -> np.ndarray:
     """The running max of stop over each group of consecutive rows, a group
     starting at each True of new_group. The running max is taken on dense stop
@@ -165,7 +186,7 @@ class MembershipEventLog:
             i = early[0]
             raise DomainError(f"exit month {exit_m[i]} precedes entry month {entry[i]}")
         # a stable sort puts the first event of each triple first; the later events repeat it
-        order = np.lexsort((_sort_key(entry), _sort_key(dev), _sort_key(proj)))
+        order = _row_order(proj, dev, entry)
         proj, dev, entry, exit_m = proj[order], dev[order], entry[order], exit_m[order]
         repeat = np.zeros(order.size, bool)
         repeat[1:] = (proj[1:] == proj[:-1]) & (dev[1:] == dev[:-1]) & (entry[1:] == entry[:-1])

@@ -74,24 +74,29 @@ class GofResult:
 def _replica_block(args: tuple[float, int, int, int, int]) -> np.ndarray:
     """KS distances of replicas start..stop-1, each against its own refit.
 
-    Each replica is drawn straight into a histogram by
-    :func:`yule.sample_counts`, at a cost that grows with its number of
-    distinct sizes rather than with n; the non-degenerate ones are refitted
-    together by one batched MLE and scored by one batched KS.
-    A degenerate replica (all singletons) reads nan; the caller counts those
-    as failures.
+    The replicas are drawn straight into histograms by one
+    :func:`yule._sample_counts_batch` call: one ``multinomial`` call per
+    replica for sizes up to 32 and one placement of every replica's draws
+    above 32, at a cost that grows with the number of distinct sizes rather
+    than with n. The generators come from a generator expression, so the
+    block never holds all of them. The non-degenerate replicas are refitted
+    together by one batched MLE and scored by one batched KS. A degenerate
+    replica (all singletons: its largest size is below 2) reads nan; the
+    caller counts those as failures.
     """
     rho_hat, n, seed, start, stop = args
-    hists = [yule.sample_counts(rho_hat, n, _generator(seed, b)) for b in range(start, stop)]
+    sizes, counts, replica = yule._sample_counts_batch(
+        rho_hat, n, (_generator(seed, b) for b in range(start, stop)))
+    lengths = np.bincount(replica, minlength=stop - start)
+    # triples are sorted by (replica, size): a replica's last one holds its largest size
+    keep = sizes[np.cumsum(lengths) - 1] >= 2
     stats = np.full(stop - start, np.nan)
-    keep = [i for i, (sizes, _) in enumerate(hists) if sizes[-1] >= 2]
-    if keep:
-        sizes = np.concatenate([hists[i][0] for i in keep])
-        counts = np.concatenate([hists[i][1] for i in keep])
-        lengths = np.array([len(hists[i][0]) for i in keep])
-        replica = np.repeat(np.arange(len(keep)), lengths)
-        rho, _, _ = yule.fit_rho_batch(sizes, counts, replica, len(keep))
-        stats[keep] = _ks_blocks(sizes, counts, lengths, rho, np.full(len(keep), n))
+    if keep.any():
+        on = keep[replica]
+        n_kept = int(keep.sum())
+        sizes, counts = sizes[on], counts[on]
+        rho, _, _ = yule.fit_rho_batch(sizes, counts, (np.cumsum(keep) - 1)[replica[on]], n_kept)
+        stats[keep] = _ks_blocks(sizes, counts, lengths[keep], rho, np.full(n_kept, n))
     return stats
 
 

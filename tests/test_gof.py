@@ -13,12 +13,30 @@ from forgesim import (
     pmf,
     sample,
 )
+from forgesim.cli import main
 from forgesim.gof import _replica_block
-from forgesim.yule import fit_rho_weighted, sample_counts
+from forgesim.simulate import _generator
+from forgesim.yule import fit_rho_weighted, mle_rho, sample_counts
+from yule_chain_oracle import chain_sample_counts
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def chain_bootstrap(dist, n_bootstrap, seed):
+    """(failed replicas, p-value) of the bootstrap with every replica drawn
+    by the binomial-chain oracle, refitted and scored one at a time."""
+    rho_hat = mle_rho(dist).rho_hat
+    n = int(dist.total_projects)
+    stats = []
+    for b in range(n_bootstrap):
+        replica = SizeDistribution(*chain_sample_counts(rho_hat, n, _generator(seed, b)))
+        stats.append(np.nan if replica.max_value < 2 else
+                     ks_statistic(replica, fit_rho_weighted(replica.sizes, replica.counts)[0]))
+    stats = np.array(stats)
+    ok = stats[~np.isnan(stats)]
+    return int(np.isnan(stats).sum()), float((ok >= ks_statistic(dist, rho_hat)).sum() / ok.size)
 
 
 class TestKsStatistic:
@@ -79,6 +97,28 @@ class TestBootstrap:
                     assert got == ks_statistic(dist, fit_rho_weighted(dist.sizes, dist.counts)[0])
             if n == 3:
                 assert 0 < np.isnan(stats).sum() < 100
+
+    def test_all_singleton_replicas_fail_as_with_the_chain_oracle(self):
+        # n = 15 at rho_hat = 2.44: a replica is all singletons with
+        # probability 0.0058, so about 2 of 400 fail, within the 1% budget
+        dist = SizeDistribution.from_mapping({1: 10, 2: 3, 3: 1, 5: 1})
+        res = bootstrap_pvalue(dist, n_bootstrap=400, seed=0)
+        assert res.n_failed > 0
+        assert (res.n_failed, res.p_value) == chain_bootstrap(dist, 400, 0)
+
+    def test_draw_above_int64_makes_gof_exit_2(self, tmp_path, capsys):
+        # rho_hat = 0.11: a replica of 100 draws passes 2**63 - 1 with
+        # probability 0.54
+        heavy = tmp_path / "heavy.csv"
+        heavy.write_text("size,count\n1,70\n1000000000000,30\n")
+        out = tmp_path / "out"
+        argv = ["gof", str(heavy), "--bootstrap", "100", "--seed", "1", "--output-dir", str(out)]
+        assert main(argv) == 2
+        rho_hat = mle_rho(SizeDistribution.from_mapping({1: 70, 10**12: 30})).rho_hat
+        assert capsys.readouterr().err == (
+            f"forgesim gof: rho={rho_hat} is too small to sample: a draw fell above the int64 "
+            f"bound 9223372036854775807\n")
+        assert not out.exists()
 
     def test_parallel_equals_serial(self):
         dist = SizeDistribution.from_sizes(sample(3.0, 500, rng(3)))

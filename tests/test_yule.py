@@ -31,18 +31,22 @@ from forgesim import (
     survival,
 )
 from forgesim import yule
+from forgesim.simulate import _generator
 from forgesim.yule import (
     DEFAULT_CDF_CACHE,
     _cdf_table,
+    _hazard_cells,
     _invert_tail,
     _log_beta,
     _rows,
+    _sample_counts_batch,
     _score_sums,
     fit_rho_batch,
     fit_rho_weighted,
     sample_counts,
 )
 import yule_scipy_oracle as oracle
+from yule_chain_oracle import chain_sample_counts
 from yule_sort_oracle import sort_sample_counts
 
 
@@ -296,6 +300,48 @@ class TestHazardChainSampler:
         sort = _observed(*_pooled(sort_sample_counts, rho, n, replicas, x_cache, seed=1800), cell)
         assert chi2_contingency(np.stack([chain, sort]))[1] > _P_FLOOR
 
+    @pytest.mark.parametrize("rho, n, replicas, x_cache", [
+        (0.7, 1000, 100, DEFAULT_CDF_CACHE),
+        (1.2, 500, 40, 64),
+        (2.0, 3000, 50, DEFAULT_CDF_CACHE),
+        (3.0, 1000, 100, DEFAULT_CDF_CACHE),
+    ])
+    def test_same_distribution_as_the_chain_oracle(self, rho, n, replicas, x_cache):
+        # two-sample chi-square on the merged cells, the oracle on other streams
+        _, cell = _cells(rho, 2 * n * replicas)
+        batch = _observed(*_pooled(sample_counts, rho, n, replicas, x_cache, seed=1900), cell)
+        chain = _observed(*_pooled(chain_sample_counts, rho, n, replicas, x_cache, seed=2000), cell)
+        assert chi2_contingency(np.stack([batch, chain]))[1] > _P_FLOOR
+
+    @pytest.mark.parametrize("rho", [0.05, 0.6, 1.0, 1.62, 2.0, 3.0, 3.03, 7.0, 17.5, 32.0, 1e3])
+    def test_binomial_probabilities_are_the_hazard_to_one_ulp(self, rho):
+        # Generator.multinomial draws cell k-1 on cells[k-1] / (mass not yet
+        # assigned), subtracting each cell from 1.0 in turn; at integer rho
+        # the hazard of size rho is exactly 1/2, and so is the probability
+        cells = _hazard_cells(rho)[0]
+        remaining = 1.0
+        for k, cell in enumerate(cells[:-1].tolist(), start=1):
+            hazard = rho / (k + rho)
+            ratio = cell / remaining
+            assert abs(ratio - hazard) <= np.spacing(hazard), k
+            assert (ratio == 0.5) == (hazard == 0.5) == (k == rho), k
+            remaining -= cell
+        assert cells[-1] == remaining > 0.0
+
+    def test_mostly_the_chain_oracles_draws(self):
+        # one multinomial call reads the stream as the chain's 32 binomial
+        # calls did; a histogram differs only where a probability 1 ulp off
+        # the hazard changes a binomial draw (99% of 1800 histograms agreed
+        # over rho 0.7-30 and n 10-1e5)
+        same = 0
+        grid = [(rho, n, b) for rho in (0.7, 1.62, 3.0, 30.0) for n in (10, 1000, 20_000)
+                for b in range(25)]
+        for rho, n, b in grid:
+            got = sample_counts(rho, n, _generator(5, b))
+            want = chain_sample_counts(rho, n, _generator(5, b))
+            same += all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert same >= 0.95 * len(grid)
+
     @pytest.mark.parametrize("rho, n, x_cache", [
         (3.0, 1, DEFAULT_CDF_CACHE), (0.7, 1, 1), (3.0, 5000, 10), (0.7, 5000, 64),
         (1.2, 100_000, DEFAULT_CDF_CACHE), (50.0, 1000, DEFAULT_CDF_CACHE),
@@ -317,6 +363,70 @@ class TestHazardChainSampler:
             for lo in (1, 10, 32, 64, 100_000):
                 for t in survival(lo, rho) * (1.0 - gen.random(4)):
                     assert _invert_tail(t, rho, lo) == _bisect_on_survival(t, rho, lo)
+
+
+class TestBatchSampler:
+    @settings(max_examples=30, deadline=None)
+    @given(rho=st.sampled_from([0.6, 1.0, 2.44, 3.0, 17.5]), n=st.integers(1, 400),
+           x_cache=st.sampled_from([1, 40, DEFAULT_CDF_CACHE]),
+           cuts=st.lists(st.integers(0, 8), max_size=3), budget=st.integers(1, 2000),
+           seed=st.integers(0, 2**32))
+    @example(rho=0.6, n=400, x_cache=1, cuts=[3], budget=50, seed=3)
+    @example(rho=1.0, n=300, x_cache=DEFAULT_CDF_CACHE, cuts=[], budget=1, seed=4)
+    def test_any_split_and_flush_point_gives_each_replicas_histogram(
+            self, rho, n, x_cache, cuts, budget, seed):
+        # each replica's histogram is sample_counts on its own generator, bit
+        # for bit, wherever the replicas are split and the tail draws flushed;
+        # rho = 0.6 and a cache of 1 or 40 sizes send draws past the table
+        replicas = 8
+        want = [sample_counts(rho, n, _generator(seed, b), x_cache) for b in range(replicas)]
+        bounds = sorted({0, replicas, *cuts})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(yule, "_TAIL_BUDGET", budget)
+            for lo, hi in zip(bounds, bounds[1:]):
+                sizes, counts, replica = _sample_counts_batch(
+                    rho, n, (_generator(seed, b) for b in range(lo, hi)), x_cache)
+                assert sizes.dtype == counts.dtype == np.int64
+                assert np.array_equal(np.unique(replica), np.arange(hi - lo))
+                assert np.all(np.diff(replica) >= 0)
+                for b in range(lo, hi):
+                    np.testing.assert_array_equal(sizes[replica == b - lo], want[b][0])
+                    np.testing.assert_array_equal(counts[replica == b - lo], want[b][1])
+
+    def test_each_generator_makes_at_most_two_calls(self):
+        class Recorder:
+            def __init__(self, generator):
+                self.generator, self.calls = generator, []
+
+            def multinomial(self, n, cells):
+                self.calls.append("multinomial")
+                return self.generator.multinomial(n, cells)
+
+            def random(self, size):
+                self.calls.append(f"random({size})")
+                return self.generator.random(size)
+
+        gens = [Recorder(_generator(2, b)) for b in range(40)]
+        sizes, counts, replica = _sample_counts_batch(3.0, 2000, iter(gens))
+        above = np.bincount(replica, counts * (sizes > 32), minlength=40).astype(np.int64)
+        for gen, left in zip(gens, above):
+            assert gen.calls == ["multinomial"] + ([f"random({left})"] if left else [])
+        assert 0 < np.count_nonzero(above) < 40
+
+    def test_no_generators_give_no_histograms(self):
+        sizes, counts, replica = _sample_counts_batch(3.0, 10, iter([]))
+        assert sizes.size == counts.size == replica.size == 0
+
+    def test_draw_above_int64_is_the_chain_oracles_domain_error(self):
+        # at rho = 0.1, S(2**63 - 1) = 0.012: of 1000 draws, about 12 lie
+        # beyond the int64 sizes
+        with pytest.raises(DomainError) as got:
+            _sample_counts_batch(0.1, 1000, (_generator(2, b) for b in range(10)))
+        with pytest.raises(DomainError) as want:
+            chain_sample_counts(0.1, 1000, _generator(2, 0))
+        assert str(got.value) == str(want.value) == (
+            "rho=0.1 is too small to sample: a draw fell above the int64 bound "
+            "9223372036854775807")
 
 
 class TestMle:
