@@ -8,12 +8,30 @@ Stream contract. Arrival 0 is the forced founding and draws nothing. Arrival
 k >= 1 draws a branch uniform u; if u < p0 it founds a project, otherwise it
 joins one. With n projects placed, a join at alpha = 1 draws one uniform v
 and takes the project of arrival floor(v * k), a uniformly random already
-placed developer, which realises size-proportional selection exactly. At any
-other alpha it draws pairs (v, w) until one is accepted: v proposes a project
-r of size x from an envelope of x**alpha, and w accepts it with probability
-x**alpha over the envelope at x. The three envelopes are
-- alpha > 1: x * x_max**(alpha-1); v proposes the project of arrival
-  floor(v * k), and w < (x / x_max)**(alpha-1) accepts;
+placed developer, which realises size-proportional selection exactly.
+
+At alpha > 1 the state holds top, the project that first reached the
+largest size x_max, and x_2, the largest size of the other projects (0
+while there are none); a project passes top only by growing above x_max, so
+a tie leaves top in place. With rest = k - x_max arrivals outside top, a
+join takes top and draws nothing while rest = 0. Otherwise it draws rounds
+until one takes a project. A round draws u and takes top if
+u < q = x_max / (x_max + rest * (x_2 / x_max)**(alpha-1)); if not, it draws
+v until the project of arrival floor(v * k) is not top, and then w, which
+accepts that project r of size x if w < (x / x_2)**(alpha-1). Top thus
+carries its exact weight x_max**alpha and every other project the envelope
+x * x_2**(alpha-1), so a round ends on r with chance
+x_r**alpha / (x_max**alpha + rest * x_2**(alpha-1)), proportional to
+x_r**alpha. A join takes on average that total over sum x**alpha rounds,
+never more than the k x_max**(alpha-1) / sum x**alpha of one envelope
+x * x_max**(alpha-1) over every project, since x_2 <= x_max. Once top holds
+most arrivals it tends to 1: at alpha = 1.5 and p0 = 2/3 it was 1.07-1.80
+over six runs of 3e4 arrivals, where the single envelope averages 3.1-3.6,
+and 1.02-1.34 over six runs of 3e5, as x_2 stays small while x_max grows.
+
+At any other alpha a join draws pairs (v, w) until one is accepted: v
+proposes a project r of size x from an envelope of x**alpha, and w accepts
+it with probability x**alpha over the envelope at x. The two envelopes are
 - 0 <= alpha < 1: the tangent A + B x of x**alpha at the mean size
   x0 = k / n, A = (1-alpha) x0**alpha, B = alpha x0**(alpha-1); with the
   weights A n and B k of its two parts, v < 1 - alpha proposes project
@@ -22,18 +40,15 @@ x**alpha over the envelope at x. The three envelopes are
   and w (1 - alpha + alpha z) < z**alpha accepts, with z = x / x0;
 - alpha < 0: x_min**alpha; v proposes project floor(v * n), and
   w < (x / x_min)**alpha accepts.
-The acceptance forms only ratios of at most 1; the largest project at
+Every test forms only ratios of at most 1; the projects of size x_2 at
 alpha > 1 and the smallest at alpha < 0 are accepted with certainty, and at
-0 <= alpha < 1 every ratio is positive, so every round can accept even where
-x**alpha itself would overflow or underflow. A join takes on average the
-envelope's total over sum x**alpha proposals: k x_max**(alpha-1),
-n x0**alpha or n x_min**alpha over sum x**alpha. In runs of 1e5 arrivals
-that is 1.0-1.3 at 0 <= alpha < 1; at alpha > 1, where it approaches
-k / x_max as one project takes nearly every join, 1.05 at p0 = 0.05, 3 at
-p0 = 2/3 and 20-34 at p0 = 0.95; and at alpha < 0, where it grows with the
-share of projects above the smallest size, 1.03 at p0 = 0.95 but 12.5 at
-alpha = -1 and p0 = 0.05; there, and at strongly negative alpha, a
-Fenwick-tree search over the weights is faster.
+0 <= alpha < 1 every ratio is positive, so every round can end even where
+x**alpha itself would overflow or underflow. A join takes on average
+n x0**alpha or n x_min**alpha over sum x**alpha proposals. In runs of 1e5
+arrivals that is 1.0-1.3 at 0 <= alpha < 1; and at alpha < 0, where it
+grows with the share of projects above the smallest size, 1.03 at p0 = 0.95
+but 12.5 at alpha = -1 and p0 = 0.05; there, and at strongly negative
+alpha, a Fenwick-tree search over the weights is faster.
 
 Uniforms are one sequence of the generator, which the cores and the tests'
 stepping loop read in chunks of different sizes; Philox gives the same
@@ -216,16 +231,35 @@ def _arrival_projects(params: SimParams, replica: int = 0) -> np.ndarray:
     return ids[parent]
 
 
+def _checkpoint_sizes(project: np.ndarray, checkpoints: tuple[int, ...]):
+    """Project sizes at each checkpoint from every arrival's project.
+
+    Each checkpoint adds the bincount of the arrivals since the one before to
+    that one's sizes, so the run's arrivals are counted once in all.
+    """
+    sizes, prev = np.zeros(0, dtype=np.int64), 0
+    for c in checkpoints:
+        added = np.bincount(project[prev:c], minlength=sizes.size)
+        added[: sizes.size] += sizes
+        sizes, prev = added, c
+        yield sizes
+
+
 def _rejection_sizes(params: SimParams, replica: int):
     """Project sizes at each checkpoint of a run at alpha != 1, placed one arrival at a time.
 
-    A join draws pairs (v, w) until one is accepted: v proposes a project from
-    an envelope of x**alpha that the state samples in O(1), and w accepts the
-    proposal with the probability x**alpha / envelope(x), a ratio of at most
-    1 formed without x**alpha itself. The state is the sizes in founding
-    order, the project of every placed arrival, the largest size and, at
-    alpha < 0, the smallest size and the count of projects of each size.
-    The run stops at the last checkpoint.
+    A join draws rounds until one takes a project. At alpha > 1 a round takes
+    the leading project with its exact weight or proposes one of the others
+    from the envelope x * x_2**(alpha-1); at any other alpha it draws a pair
+    (v, w): v proposes a project from an envelope of x**alpha that the state
+    samples in O(1), and w accepts the proposal with the probability
+    x**alpha / envelope(x). Each test is a ratio of at most 1 formed without
+    x**alpha itself. The state is the sizes in founding order and the
+    project of every placed arrival; at alpha > 1 also top, the project that
+    first reached the largest size x_max, x_max, x_2, the largest size of
+    the other projects, and (x_2 / x_max)**(alpha-1), cached until either
+    changes; at alpha < 0 the smallest size and the count of projects of
+    each size. The run stops at the last checkpoint.
     """
     p0, alpha = params.p0, params.alpha
     last = params.checkpoints[-1]
@@ -236,6 +270,8 @@ def _rejection_sizes(params: SimParams, replica: int):
     sizes = [1]
     owner = array("q", bytes(8 * last))  # the project of every placed arrival
     x_max = x_min = 1
+    top = x_2 = 0  # the first project to reach x_max; the largest size of the others
+    skew = -1.0  # (x_2 / x_max)**(alpha - 1), recomputed when negative
     per_size = [0, 1] + [0] * last if alpha < 0.0 else None
     tilt, gap = alpha - 1.0, 1.0 - alpha
     k = 1
@@ -244,19 +280,43 @@ def _rejection_sizes(params: SimParams, replica: int):
             if uniform() < p0:
                 owner[k] = len(sizes)
                 sizes.append(1)
+                if not x_2:
+                    x_2 = 1
                 if per_size is not None:
                     per_size[1] += 1
                     x_min = 1
                 continue
             if alpha > 1.0:
-                # v: the project of arrival floor(v * k), chance x / k; the
-                # envelope x * x_max**(alpha - 1) is met by the largest project
-                while True:
-                    r = owner[int(uniform() * k)]
-                    x = sizes[r]
-                    if uniform() < (x / x_max) ** tilt:
-                        break
-            elif alpha < 0.0:
+                r = top
+                if k > x_max:
+                    # u < q takes top, with its exact weight x_max**alpha; else
+                    # v proposes the project of a uniform arrival outside top,
+                    # chance x / (k - x_max), and w < (x / x_2)**(alpha - 1) accepts
+                    if skew < 0.0:
+                        skew = (x_2 / x_max) ** tilt
+                    q = x_max / (x_max + (k - x_max) * skew)
+                    while uniform() >= q:
+                        r = owner[int(uniform() * k)]
+                        while r == top:
+                            r = owner[int(uniform() * k)]
+                        if uniform() < (sizes[r] / x_2) ** tilt:
+                            break
+                    else:
+                        r = top
+                owner[k] = r
+                if r == top:
+                    sizes[r] = x_max = x_max + 1
+                    skew = -1.0
+                    continue
+                x = sizes[r]
+                sizes[r] = x + 1
+                if x == x_2:  # every other project is at most x_2
+                    x_2 = x + 1
+                    if x_2 > x_max:  # strictly overtaken; a tie leaves top
+                        top, x_2, x_max = r, x_max, x_2
+                    skew = -1.0
+                continue
+            if alpha < 0.0:
                 # v: project floor(v * n), chance 1 / n; the envelope
                 # x_min**alpha is met by the smallest project
                 n = len(sizes)
@@ -286,8 +346,6 @@ def _rejection_sizes(params: SimParams, replica: int):
                     if uniform() * (gap + alpha * z) < z**alpha:
                         break
             sizes[r] = x + 1
-            if x == x_max:
-                x_max = x + 1
             owner[k] = r
         k = c
         yield np.array(sizes, dtype=np.int64)
@@ -301,8 +359,7 @@ def run(params: SimParams, replica: int = 0) -> SimTrace:
     up to the last checkpoint.
     """
     if params.alpha == 1.0:
-        project = _arrival_projects(params, replica)
-        sizes_at = (np.bincount(project[:c]) for c in params.checkpoints)
+        sizes_at = _checkpoint_sizes(_arrival_projects(params, replica), params.checkpoints)
     else:
         sizes_at = _rejection_sizes(params, replica)
     records = tuple(

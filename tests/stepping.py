@@ -4,13 +4,20 @@
 `UniformStream`. It follows the stream contract in `forgesim.simulate`, so
 `stepping_run` gives what `forgesim.simulate.run` must give bit for bit: a
 join at alpha = 1 takes the project of a uniformly random placed developer
-(the slots), and at any other alpha it draws pairs (v, w) until w accepts
-the project that v proposes from one of three envelopes of x**alpha:
+(the slots), and at any other alpha it draws rounds until one takes a
+project:
 
-- alpha > 1: v picks a placed developer's project, w < (x / x_max)**(alpha-1);
+- alpha > 1: the state tracks top, the project that first reached the largest
+  size x_max, and x_2, the largest size of the others. A round's u takes top
+  if u < x_max / (x_max + (k - x_max) * (x_2 / x_max)**(alpha-1)); otherwise
+  v picks placed developers until one is outside top, and w accepts that
+  developer's project if w < (x / x_2)**(alpha-1). While top holds every
+  placed developer the join takes it and draws nothing;
 - 0 <= alpha < 1: v < 1 - alpha picks a uniform project and otherwise a placed
   developer's project, w * (1 - alpha + alpha * z) < z**alpha with z = x n / k;
 - alpha < 0: v picks a uniform project, w < (x / x_min)**alpha.
+
+The state counts the rounds its joins draw.
 
 `fenwick_sizes` draws the same process another way: a join searches a
 Fenwick tree over x**alpha for one uniform times the weight sum. Its
@@ -136,12 +143,16 @@ class SimState:
     place (a per-step copy would turn the run quadratic).
     """
 
-    __slots__ = ("step", "n_projects", "x_max", "x_min", "_sizes", "_slots", "_per_size")
+    __slots__ = ("step", "n_projects", "x_max", "x_min", "top", "x_2", "rounds", "_sizes",
+                 "_slots", "_per_size")
 
     def __init__(self, n_steps: int):
         self.step = 1
         self.n_projects = 1
         self.x_max = self.x_min = 1
+        # the project that first reached x_max, and the largest size of the others
+        self.top, self.x_2 = 0, 0
+        self.rounds = 0  # rounds drawn by joins at alpha != 1
         self._sizes = np.zeros(n_steps, dtype=np.int64)
         self._sizes[0] = 1
         # slot s holds the project of the s-th placed developer
@@ -164,6 +175,7 @@ class SimState:
         self._slots[self.step] = self.n_projects
         self._per_size[1] += 1
         self.x_min = 1
+        self.x_2 = max(self.x_2, 1)
         self.n_projects += 1
         self.step += 1
 
@@ -173,7 +185,12 @@ class SimState:
         self._slots[self.step] = project
         self._per_size[x] -= 1
         self._per_size[x + 1] += 1
-        self.x_max = max(self.x_max, x + 1)
+        if project == self.top:
+            self.x_max = x + 1
+        elif x + 1 > self.x_max:
+            self.top, self.x_2, self.x_max = project, self.x_max, x + 1
+        else:
+            self.x_2 = max(self.x_2, x + 1)
         if x == self.x_min and self._per_size[x] == 0:
             self.x_min = x + 1
         self.step += 1
@@ -184,13 +201,20 @@ def initial_state(params: SimParams) -> SimState:
     return SimState(params.n_steps)
 
 
-def _propose(state: SimState, alpha: float, v: float, w: float) -> int:
-    """The project that v proposes at alpha != 1 if w accepts it, else -1."""
+def _round(state: SimState, alpha: float, u: UniformStream) -> int:
+    """The project that one round of a join at alpha != 1 takes, or -1 if it takes none."""
     k, n = state.step, state.n_projects
+    state.rounds += 1
     if alpha > 1.0:
-        r = int(state._slots[int(v * k)])
+        skew = (state.x_2 / state.x_max) ** (alpha - 1.0)
+        if u.next() < state.x_max / (state.x_max + (k - state.x_max) * skew):
+            return state.top
+        r = int(state._slots[int(u.next() * k)])
+        while r == state.top:
+            r = int(state._slots[int(u.next() * k)])
         x = int(state._sizes[r])
-        return r if w < (x / state.x_max) ** (alpha - 1.0) else -1
+        return r if u.next() < (x / state.x_2) ** (alpha - 1.0) else -1
+    v, w = u.next(), u.next()
     if alpha < 0.0:
         r = int(v * n)
         x = int(state._sizes[r])
@@ -208,15 +232,17 @@ def _draw(state: SimState, params: SimParams, u: UniformStream) -> int:
 
     Returns -1 for a founding, otherwise the index of the project joined.
     Consumes one uniform for the branch; a join then consumes one more at
-    alpha = 1 and pairs until one is accepted at any other alpha.
+    alpha = 1, none at alpha > 1 while top holds every placed arrival, and
+    otherwise rounds until one takes a project.
     """
     if u.next() < params.p0:
         return -1
     if params.alpha == 1.0:
         return int(state._slots[int(u.next() * state.step)])
+    if params.alpha > 1.0 and state.step == state.x_max:
+        return state.top
     while True:
-        v = u.next()
-        r = _propose(state, params.alpha, v, u.next())
+        r = _round(state, params.alpha, u)
         if r >= 0:
             return r
 

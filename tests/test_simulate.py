@@ -213,7 +213,7 @@ class TestFenwickCore:
 
     @settings(max_examples=12, deadline=None)
     @given(
-        alpha=st.sampled_from([-1.0, 0.0, 0.5, 0.7, 1.5, 2.0]),
+        alpha=st.sampled_from([-1.0, 0.0, 0.5, 0.7, 1.5, 2.0, 3.0, 150.0]),
         p0=st.floats(0.2, 0.95),
         # the longer runs read more than one block of the stream
         n_steps=st.one_of(st.integers(1, 3000), st.integers(30_000, 40_000)),
@@ -245,7 +245,7 @@ class TestFenwickCore:
     # outputs themselves.
     @pytest.mark.parametrize("alpha, digest", [
         (0.7, "36f1f46348716195627ed9e007e28370c341b67d2108109b57ee851b4bc305af"),
-        (1.5, "9831ae367c01d30d9dc6a4255c21dcbb85eb5c3b1b74bad5c2d4c9c17e9325f0"),
+        (1.5, "5d0bde526c31cc737b8095b7d7919c32d39d00cf3511aa61d4f9b4626333e5de"),
     ])
     def test_outputs_match_recorded_digests(self, alpha, digest):
         params = SimParams(p0=0.3, n_steps=60_000, seed=2015, alpha=alpha,
@@ -375,7 +375,7 @@ class TestExactDistribution:
         stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
         assert chi2.sf(stat, len(expected) - 1) > 1e-3
 
-    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.5])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.5, 3.0])
     def test_class_counts_match_the_fenwick_process(self, alpha):
         # n(x) for x <= 8 and the largest size, averaged over 30 replicas of
         # each process, agree within 4.5 standard errors of their difference
@@ -392,6 +392,62 @@ class TestExactDistribution:
         gap = np.abs(new.mean(axis=0) - old.mean(axis=0))
         se = np.sqrt((new.var(axis=0, ddof=1) + old.var(axis=0, ddof=1)) / n_runs)
         assert np.all(gap <= 4.5 * se)
+
+
+class TestLeadingProject:
+    """The alpha > 1 round: the leading project top with its exact weight,
+    otherwise a proposal from the others under the envelope x * x_2**(alpha-1)."""
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 3.0])
+    def test_state_tracks_the_leader(self, alpha):
+        # at p0 = 0.9 sizes stay small, so the lead is tied and changes hands
+        params = SimParams(p0=0.9, n_steps=3000, seed=41, alpha=alpha)
+        state, u = initial_state(params), stream_for(params.seed)
+        handovers = ties = 0
+        for _ in range(params.n_steps - 1):
+            top, x_max = state.top, state.x_max
+            step(state, params, u)
+            sizes = state.project_sizes
+            others = np.delete(sizes, state.top)
+            assert state.x_max == sizes.max() == sizes[state.top]
+            assert state.x_2 == (others.max() if others.size else 0)
+            joined = state._slots[state.step - 1]
+            if state.top != top:
+                # strictly overtaken: the joined project passed the old largest size
+                handovers += 1
+                assert joined == state.top
+                assert state.x_max == x_max + 1 and state.x_2 == x_max
+            elif joined != top and sizes[joined] == x_max:
+                ties += 1
+        assert handovers and ties
+
+    def test_rounds_per_join_fall_below_the_old_envelope(self):
+        # The old envelope x * x_max**(alpha-1) takes k x_max**(alpha-1) / W
+        # rounds per join on average, the new round
+        # (x_max**alpha + (k - x_max) x_2**(alpha-1)) / W, with W = sum x**alpha.
+        params = SimParams(p0=2 / 3, n_steps=30_000, seed=2025, alpha=1.5)
+        tilt = params.alpha - 1.0
+        rounds = joins = 0
+        old = new = 0.0
+        for replica in range(4):
+            state, u = initial_state(params), stream_for(params.seed, replica)
+            weight = 1.0
+            for _ in range(params.n_steps - 1):
+                k, n, x_max = state.step, state.n_projects, state.x_max
+                old_rounds = k * x_max**tilt / weight
+                new_rounds = (x_max**params.alpha + (k - x_max) * state.x_2**tilt) / weight
+                step(state, params, u)
+                if state.n_projects > n:
+                    weight += 1.0
+                    continue
+                x = int(state._sizes[state._slots[k]])
+                weight += x**params.alpha - (x - 1) ** params.alpha
+                old += old_rounds
+                new += new_rounds
+                joins += 1
+            rounds += state.rounds
+        assert abs(rounds / new - 1.0) < 0.02
+        assert rounds / joins < 0.5 * old / joins
 
 
 class TestLargeAlpha:
